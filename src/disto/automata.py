@@ -78,19 +78,15 @@ class RuleDelta:
 
     def __init__(self, rules: Sequence[Rule]):
         self.rules = tuple(rules)
-        self._by_src: dict[str, tuple[Rule, ...]] = {}
+        self._by_src: dict[str, list[Rule]] = {}
         for r in self.rules:
-            self._by_src.setdefault(r.src, ())
-            self._by_src[r.src] += (r,)
+            self._by_src.setdefault(r.src, []).append(r)
 
     def __call__(self, q: str, nvec: NVec) -> str:
         for rule in self._by_src.get(q, ()):
             if rule.matches(q, nvec):
                 return rule.dst
         raise UnmatchedTransition(f"no rule matches state {q!r} with {nvec}")
-
-    def target_superset(self, q: str) -> set[str]:
-        return {r.dst for r in self._by_src.get(q, ())}
 
 
 @dataclass
@@ -107,7 +103,8 @@ class DistributedAutomaton:
 
     def __post_init__(self):
         self.accepting = frozenset(self.accepting)
-        missing = self.accepting - set(self.states)
+        self._declared = frozenset(self.states)
+        missing = self.accepting - self._declared
         if missing:
             raise ValueError(f"accepting states {missing} not in state set")
 
@@ -116,17 +113,10 @@ class DistributedAutomaton:
         out = self._memo.get(key)
         if out is None:
             out = self.delta(q, nvec)
-            if out not in self._state_set():
+            if out not in self._declared:
                 raise UnmatchedTransition(f"delta produced unknown state {out!r}")
             self._memo[key] = out
         return out
-
-    def _state_set(self) -> frozenset:
-        ss = getattr(self, "_states_frozen", None)
-        if ss is None:
-            ss = frozenset(self.states)
-            object.__setattr__(self, "_states_frozen", ss)
-        return ss
 
     def initial_state(self, label: str) -> str:
         try:
@@ -144,12 +134,6 @@ class DistributedAutomaton:
 
 
 @dataclass(frozen=True)
-class SyncConfiguration:
-    assignment: tuple[str, ...]
-    time: int
-
-
-@dataclass(frozen=True)
 class RunResult:
     configs: tuple[tuple[str, ...], ...]  # one per time step, prefix + one period
     prefix: int
@@ -163,34 +147,87 @@ class RunResult:
     def visited_states(self, v: int) -> set[str]:
         return {conf[v] for conf in self.configs}
 
-    def as_configurations(self) -> list[SyncConfiguration]:
-        return [SyncConfiguration(c, t) for t, c in enumerate(self.configs)]
+
+class _Interned:
+    """Integer ids for the names an automaton's runs meet, and its
+    transitions memoised on integer keys.  Name i sets bit i * (rels + 1) + s
+    of a node's key: slot s = 0 for the node's own state (synchronous runs)
+    or letter (forgetful runs), slot s = r for a state received over
+    relation r.  Ids are only appended, so a key keeps its meaning."""
+
+    def __init__(self, rels: int):
+        self.rels, self.names, self.ids = rels, [], {}
+        self.bits, self.memo = [], {}  # per id one bit per slot; key -> id
+
+    def intern(self, name: str) -> int:
+        i = self.ids.get(name)
+        if i is None:
+            i = self.ids[name] = len(self.names)
+            self.names.append(name)
+            self.bits.append(tuple(1 << (i * (self.rels + 1) + s)
+                                   for s in range(self.rels + 1)))
+        return i
+
+    def decode(self, key: int) -> tuple[str, NVec]:
+        """The own name (state or letter) and the neighbourhood of a key."""
+        own, received = None, [[] for _ in range(self.rels)]
+        while key:
+            low = key & -key
+            i, slot = divmod(low.bit_length() - 1, self.rels + 1)
+            if slot:
+                received[slot - 1].append(self.names[i])
+            else:
+                own = self.names[i]
+            key ^= low
+        return own, tuple(map(frozenset, received))
 
 
-def _neighbor_vec(d: Digraph, conf: Sequence[str], v: int) -> NVec:
-    return tuple(frozenset(conf[u] for u in d.in_neighbors(i, v))
-                 for i in range(1, d.rels + 1))
-
-
-def _run_transition_system(d: Digraph, initial: Sequence[str],
-                           step_node: Callable[[Sequence[str], int], str],
-                           horizon, cap: int) -> RunResult:
-    conf = tuple(initial)
-    seen = {conf: 0}
-    configs = [conf]
-    limit = cap if horizon == "auto" else min(int(horizon), cap)
+def _run_rounds(a, d: Digraph, initial: Sequence[str],
+                letters: Sequence[str] | None, horizon, cap: int) -> RunResult:
+    """The round loop of synchronous runs (``letters`` None: slot 0 holds
+    a node's current state) and forgetful runs (slot 0 holds its letter).
+    A key missing from the memo is decoded and passed to ``a.step``."""
+    ix = a.__dict__.get("_round_ids")
+    if ix is None or ix.rels != d.rels:
+        ix = a.__dict__["_round_ids"] = _Interned(d.rels)
+    stride, memo, bits = d.rels + 1, ix.memo, ix.bits
+    own = letters is None
+    base = [0] * d.n if own else [bits[ix.intern(x)][0] for x in letters]
+    slots = [[v * stride] if own else [] for v in d.nodes()]
+    for (r, u, v) in d.edges:
+        if not 0 < r < stride:
+            raise ValueError(f"edge ({r},{u},{v}) uses an unknown relation index")
+        slots[v].append(u * stride + r)
+    conf = tuple(map(ix.intern, initial))
+    seen, configs = {conf: 0}, [conf]
+    auto = horizon == "auto"
+    limit = cap if auto else min(int(horizon), cap)
     for t in range(1, limit + 1):
-        conf = tuple(step_node(conf, v) for v in d.nodes())
-        if horizon == "auto" and conf in seen:
-            first = seen[conf]
-            return RunResult(tuple(configs), prefix=first, period=t - first)
-        if horizon == "auto":
-            seen[conf] = t
+        received = [b for q in conf for b in bits[q]]
+        nxt = []
+        for key, node_slots in zip(base, slots):
+            for j in node_slots:
+                key |= received[j]
+            q = memo.get(key)
+            if q is None:
+                q = memo[key] = ix.intern(a.step(*ix.decode(key)))
+            nxt.append(q)
+        conf = tuple(nxt)
+        if auto:
+            prefix = seen.setdefault(conf, t)
+            if prefix != t:
+                period = t - prefix
+                break
         configs.append(conf)
-        if horizon != "auto" and t == limit:
+        if not auto and t == limit:
             # bounded window: no lasso claim, report the last config as fixed
-            return RunResult(tuple(configs), prefix=len(configs) - 1, period=1)
-    raise HorizonExceeded(f"no lasso within {limit} steps")
+            prefix, period = t, 1
+            break
+    else:
+        raise HorizonExceeded(f"no lasso within {limit} steps")
+    name = ix.names.__getitem__
+    return RunResult(tuple(tuple(map(name, c)) for c in configs),
+                     prefix=prefix, period=period)
 
 
 def sync_run(a: DistributedAutomaton, d: Digraph,
@@ -201,12 +238,8 @@ def sync_run(a: DistributedAutomaton, d: Digraph,
     """
     if a.rels != d.rels:
         raise ValueError(f"automaton has {a.rels} relations, digraph {d.rels}")
-    initial = [a.initial_state(d.label(v)) for v in d.nodes()]
-
-    def step_node(conf, v):
-        return a.step(conf[v], _neighbor_vec(d, conf, v))
-
-    return _run_transition_system(d, initial, step_node, horizon, cap)
+    initial = [a.initial_state(x) for x in d.labels]
+    return _run_rounds(a, d, initial, None, horizon, cap)
 
 
 def decide_acceptance_sync(a: DistributedAutomaton, pd: PointedDigraph) -> bool:
@@ -291,13 +324,8 @@ def _has_nontrivial_cycle(succ: dict[str, set[str]]) -> bool:
 def classify(a: DistributedAutomaton) -> AutomatonClass:
     succ = state_diagram(a)
     quasi = not _has_nontrivial_cycle(succ)
-    local = quasi
-    if quasi:
-        for q in a.states:
-            targets = {a.step(q, nvec) for nvec in a.all_nvecs()}
-            if q in targets and targets != {q}:
-                local = False
-                break
+    local = quasi and not any(q in succ[q] and succ[q] != {q}
+                              for q in a.states)
     mono = a.known_monovisioned or _check_monovisioned(a)
     return AutomatonClass(is_local=local, is_quasi_acyclic=quasi,
                           is_monovisioned=mono)
@@ -395,12 +423,7 @@ def forgetful_run(a: ForgetfulAutomaton, d: Digraph,
     for v in d.nodes():
         if d.label(v) not in a.deltas:
             raise InitializationError(f"no transition table for letter {d.label(v)!r}")
-    initial = [a.initial] * d.n
-
-    def step_node(conf, v):
-        return a.step(d.label(v), _neighbor_vec(d, conf, v))
-
-    return _run_transition_system(d, initial, step_node, horizon, cap)
+    return _run_rounds(a, d, [a.initial] * d.n, d.labels, horizon, cap)
 
 
 def decide_acceptance_forgetful(a: ForgetfulAutomaton, pd: PointedDigraph) -> bool:
@@ -422,24 +445,23 @@ def to_json_dict(a: DistributedAutomaton) -> dict:
         "relations": a.rels,
         "init": dict(sorted(a.init.items())),
         "accepting": sorted(a.accepting),
-        "rules": [
-            {"from": r.src,
-             "guards": [{"rel": g.rel, "op": g.op, "set": sorted(g.states)}
-                        for g in r.guards],
-             "to": r.dst}
-            for r in delta.rules
-        ],
+        "rules": [{"from": r.src, **_rule_json(r)} for r in delta.rules],
     }
 
 
+def _rule_json(r: Rule) -> dict:
+    return {"guards": [{"rel": g.rel, "op": g.op, "set": sorted(g.states)}
+                       for g in r.guards],
+            "to": r.dst}
+
+
+def _rule_from_json(row: dict, src: str = "") -> Rule:
+    return Rule(src, tuple(Guard(g["rel"], g["op"], frozenset(g.get("set", ())))
+                           for g in row.get("guards", ())), row["to"])
+
+
 def from_json_dict(obj: dict) -> DistributedAutomaton:
-    rules = [
-        Rule(r["from"],
-             tuple(Guard(g["rel"], g["op"], frozenset(g.get("set", ())))
-                   for g in r.get("guards", ())),
-             r["to"])
-        for r in obj["rules"]
-    ]
+    rules = [_rule_from_json(r, r["from"]) for r in obj["rules"]]
     return DistributedAutomaton(
         states=tuple(obj["states"]),
         rels=obj["relations"],
@@ -455,12 +477,7 @@ def forgetful_to_json_dict(a: ForgetfulAutomaton) -> dict:
         fn = a.deltas[letter]
         if not isinstance(fn, RuleDelta1):
             raise ValueError("only rule-based forgetful automata have a JSON form")
-        tables[letter] = [
-            {"guards": [{"rel": g.rel, "op": g.op, "set": sorted(g.states)}
-                        for g in r.guards],
-             "to": r.dst}
-            for r in fn.rules
-        ]
+        tables[letter] = [_rule_json(r) for r in fn.rules]
     return {
         "states": list(a.states),
         "relations": a.rels,
@@ -484,12 +501,8 @@ class RuleDelta1:
 
 
 def forgetful_from_json_dict(obj: dict) -> ForgetfulAutomaton:
-    deltas = {}
-    for letter, rows in obj["delta"].items():
-        rules = [Rule("", tuple(Guard(g["rel"], g["op"], frozenset(g.get("set", ())))
-                                for g in row.get("guards", ())), row["to"])
-                 for row in rows]
-        deltas[letter] = RuleDelta1(rules)
+    deltas = {letter: RuleDelta1([_rule_from_json(row) for row in rows])
+              for letter, rows in obj["delta"].items()}
     return ForgetfulAutomaton(
         states=tuple(obj["states"]),
         rels=obj["relations"],
@@ -497,9 +510,3 @@ def forgetful_from_json_dict(obj: dict) -> ForgetfulAutomaton:
         deltas=deltas,
         accepting=frozenset(obj["accepting"]),
     )
-
-
-def total_function_delta(table: dict[tuple[str, NVec], str]) -> Callable:
-    def delta(q, nvec):
-        return table[(q, nvec)]
-    return delta

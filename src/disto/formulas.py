@@ -269,7 +269,7 @@ def check_kernel(f: Formula, kernel: str) -> None:
 # Evaluation
 
 class _Ctx:
-    __slots__ = ("d", "rels", "bound_checked")
+    __slots__ = ("d", "rels")
 
     def __init__(self, d: Digraph):
         self.d = d

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 ENUM_SAFETY_BOUND = 6
@@ -29,6 +29,11 @@ class Digraph:
 
     ``edges`` holds triples (relation, src, dst) with relations numbered
     from 1.  Construction does not validate; see :func:`validate`.
+
+    The in- and out-adjacency tables are built once per instance, on first
+    use, and stored on the instance outside the dataclass fields, so
+    hashing, equality and ``repr`` see only the fields above, and a digraph
+    dropped by its callers is freed together with its tables.
     """
 
     bits: int
@@ -52,29 +57,29 @@ class Digraph:
     def relation(self, i: int) -> frozenset[tuple[int, int]]:
         return frozenset((s, d) for (r, s, d) in self.edges if r == i)
 
-    @lru_cache(maxsize=None)
-    def _in_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        table = [[[] for _ in range(self.n)] for _ in range(self.rels)]
-        for (r, s, d) in self.edges:
-            table[r - 1][d].append(s)
-        return tuple(
-            tuple(tuple(sorted(srcs)) for srcs in per_rel) for per_rel in table
-        )
+    @cached_property
+    def _in(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return self._adjacency(2, 1)
 
-    @lru_cache(maxsize=None)
-    def _out_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    @cached_property
+    def _out(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return self._adjacency(1, 2)
+
+    def _adjacency(self, at: int, other: int):
+        """Per relation and node e[at], the sorted e[other] of edges e."""
         table = [[[] for _ in range(self.n)] for _ in range(self.rels)]
-        for (r, s, d) in self.edges:
-            table[r - 1][s].append(d)
-        return tuple(
-            tuple(tuple(sorted(dsts)) for dsts in per_rel) for per_rel in table
-        )
+        for e in self.edges:
+            table[e[0] - 1][e[at]].append(e[other])
+        for per_rel in table:
+            for vs in per_rel:
+                vs.sort()
+        return tuple([tuple(map(tuple, per_rel)) for per_rel in table])
 
     def in_neighbors(self, i: int, v: int) -> tuple[int, ...]:
-        return self._in_table()[i - 1][v]
+        return self._in[i - 1][v]
 
     def out_neighbors(self, i: int, v: int) -> tuple[int, ...]:
-        return self._out_table()[i - 1][v]
+        return self._out[i - 1][v]
 
     def sorted_edges(self) -> list[tuple[int, int, int]]:
         return sorted(self.edges)
@@ -95,17 +100,6 @@ class PointedDigraph:
     @property
     def n(self) -> int:
         return self.digraph.n
-
-
-@dataclass(frozen=True)
-class StructureKind:
-    tag: str  # dipath | ordered-ditree | grid | general | undirected
-
-    KNOWN = ("dipath", "ordered-ditree", "grid", "general", "undirected")
-
-    def __post_init__(self):
-        if self.tag not in self.KNOWN:
-            raise ValueError(f"unknown structure kind {self.tag!r}")
 
 
 def make(bits: int, rels: int, labels: Sequence[str],
@@ -195,15 +189,14 @@ def ditree_from_parents(parents: Sequence[int | None],
     return make(bits, 1, labels, edges, point=roots[0])
 
 
-def generate(kind: str | StructureKind, **params):
+def generate(kind: str, **params):
     """Uniform front door over the structure generators."""
-    tag = kind.tag if isinstance(kind, StructureKind) else kind
-    if tag == "dipath":
+    if kind == "dipath":
         return dipath(params["n"], params.get("labels"), params.get("bits", 0))
-    if tag == "grid":
+    if kind == "grid":
         return grid(params["h"], params["w"], params.get("labels"),
                     params.get("bits", 0))
-    if tag == "ordered-ditree":
+    if kind == "ordered-ditree":
         if params.get("n", 1) != 1 and "parents" not in params:
             raise ValueError("ordered ditrees beyond a single root need 'parents'")
         if "parents" in params:
@@ -211,7 +204,7 @@ def generate(kind: str | StructureKind, **params):
                                        params.get("bits", 0))
         return make(params.get("bits", 0), params.get("rels", 1),
                     ["0" * params.get("bits", 0)], [], point=0)
-    raise ValueError(f"no generator for kind {tag!r}")
+    raise ValueError(f"no generator for kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

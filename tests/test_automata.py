@@ -1,13 +1,17 @@
+import itertools
 import random
+import zlib
 
 import pytest
 
 from disto import automata, zoo
-from disto.automata import (AutomatonClass, DistributedAutomaton, Guard,
-                            InitializationError, Rule, RuleDelta, classify,
-                            decide_acceptance_sync, monovisioned_transform,
-                            state_diagram, sync_run)
-from disto.graphs import dipath, make
+from disto.automata import (AutomatonClass, DistributedAutomaton,
+                            ForgetfulAutomaton, Guard, HorizonExceeded,
+                            InitializationError, Rule, RuleDelta, RuleDelta1,
+                            UnmatchedTransition, classify,
+                            decide_acceptance_sync, forgetful_run,
+                            monovisioned_transform, state_diagram, sync_run)
+from disto.graphs import Digraph, dipath, make
 
 import gens
 
@@ -236,3 +240,147 @@ def test_state_diagram_and_accepted_nodes():
     assert "3" in diagram["1"] and "5" in diagram["3"]
     d = make(1, 1, ["1", "0"], [(1, 0, 1)])
     assert automata.accepted_nodes(a, d) == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# The interned round loop against a plain reference loop: string states,
+# frozenset neighbourhoods read straight off the edge set, the same lasso
+# rule, and the automaton's delta called without any memo.
+
+def reference_run(d, initial, next_state, horizon="auto",
+                  cap=automata.DEFAULT_HORIZON_CAP):
+    def nvec(conf, v):
+        return tuple(frozenset(conf[s] for (r, s, t) in d.edges
+                               if r == i and t == v)
+                     for i in range(1, d.rels + 1))
+
+    conf = tuple(initial)
+    seen = {conf: 0}
+    configs = [conf]
+    limit = cap if horizon == "auto" else min(horizon, cap)
+    for t in range(1, limit + 1):
+        conf = tuple(next_state(conf, v, nvec(conf, v)) for v in d.nodes())
+        if horizon == "auto":
+            if conf in seen:
+                return tuple(configs), seen[conf], t - seen[conf]
+            seen[conf] = t
+        configs.append(conf)
+        if horizon != "auto" and t == limit:
+            return tuple(configs), t, 1
+    raise HorizonExceeded
+
+
+def _pick(options, salt, *parts):
+    """A fixed pseudo-random choice from the canonical form of ``parts``,
+    independent of call order and of the hash seed."""
+    canon = repr([sorted(p) if isinstance(p, frozenset) else p
+                  for p in parts])
+    return options[zlib.crc32(f"{salt}:{canon}".encode()) % len(options)]
+
+
+def random_sync_automaton(rng, rels, bits):
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 4)))
+    salt = rng.random()
+    labels = ["".join(c) for c in itertools.product("01", repeat=bits)]
+    return DistributedAutomaton(
+        states=states, rels=rels,
+        init={x: rng.choice(states) for x in labels},
+        accepting=frozenset(q for q in states if rng.random() < 0.5),
+        delta=lambda q, nvec: _pick(states, salt, q, *nvec))
+
+
+def random_forgetful_automaton(rng, rels, bits):
+    states = tuple(f"p{i}" for i in range(rng.randint(1, 4)))
+    salt = rng.random()
+    letters = ["".join(c) for c in itertools.product("01", repeat=bits)]
+    return ForgetfulAutomaton(
+        states=states, rels=rels, initial=rng.choice(states),
+        deltas={x: (lambda nvec, x=x: _pick(states, salt, x, *nvec))
+                for x in letters},
+        accepting=frozenset(q for q in states if rng.random() < 0.5))
+
+
+def _as_tuple(run):
+    return run.configs, run.prefix, run.period
+
+
+@pytest.mark.parametrize("rels,bits", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_interned_runs_match_reference_loop(rels, bits):
+    rng = random.Random(1000 * rels + bits)
+    for _ in range(6):
+        sa = random_sync_automaton(rng, rels, bits)
+        fa = random_forgetful_automaton(rng, rels, bits)
+        # several digraphs per automaton: later runs hit a warm memo
+        for _ in range(8):
+            d = gens.random_digraph(rng, 6, bits=bits, rels=rels,
+                                    edge_p=rng.choice((0.15, 0.4)))
+            sync_initial = [sa.init[x] for x in d.labels]
+
+            def sync_next(conf, v, nvec):
+                return sa.delta(conf[v], nvec)
+
+            def forgetful_next(conf, v, nvec):
+                return fa.deltas[d.label(v)](nvec)
+
+            cases = [(sa, sync_run, sync_initial, sync_next),
+                     (fa, forgetful_run, [fa.initial] * d.n, forgetful_next)]
+            for a, run, initial, next_state in cases:
+                want = reference_run(d, initial, next_state)
+                assert _as_tuple(run(a, d)) == want
+                horizon = rng.randint(1, 8)
+                assert (_as_tuple(run(a, d, horizon=horizon))
+                        == reference_run(d, initial, next_state, horizon))
+                # the lasso closes at round prefix + period: one less is
+                # past the cap, exactly that many is within it
+                closes = want[1] + want[2]
+                with pytest.raises(HorizonExceeded):
+                    run(a, d, cap=closes - 1)
+                assert _as_tuple(run(a, d, cap=closes)) == want
+                with pytest.raises(HorizonExceeded):
+                    run(a, d, horizon=0)
+
+
+def test_partial_rule_delta_raises_unmatched_transition():
+    a = DistributedAutomaton(
+        states=("a", "b"), rels=1, init={"": "a"}, accepting=frozenset(),
+        delta=RuleDelta([Rule("a", (Guard(1, "eq", frozenset()),), "b"),
+                         Rule("b", (Guard(1, "any", frozenset()),), "b")]))
+    assert sync_run(a, make(0, 1, [""], [])).configs == (("a",), ("b",))
+    with pytest.raises(UnmatchedTransition):
+        sync_run(a, make(0, 1, ["", ""], [(1, 0, 1)]))
+    # the failed transition left nothing behind in the memo
+    with pytest.raises(UnmatchedTransition):
+        sync_run(a, make(0, 1, ["", ""], [(1, 0, 1)]))
+
+
+def test_partial_forgetful_rules_raise_unmatched_transition():
+    fa = ForgetfulAutomaton(
+        states=("a", "b"), rels=1, initial="a",
+        deltas={"": RuleDelta1([Rule("", (Guard(1, "eq", frozenset()),),
+                                     "b")])},
+        accepting=frozenset())
+    assert forgetful_run(fa, make(0, 1, [""], [])).configs == (("a",), ("b",))
+    with pytest.raises(UnmatchedTransition):
+        forgetful_run(fa, make(0, 1, ["", ""], [(1, 0, 1)]))
+
+
+def test_delta_to_undeclared_state_raises():
+    a = DistributedAutomaton(
+        states=("a",), rels=1, init={"": "a"}, accepting=frozenset(),
+        delta=lambda q, nvec: "z")
+    with pytest.raises(UnmatchedTransition, match="unknown state"):
+        sync_run(a, make(0, 1, [""], []))
+
+
+def test_missing_letter_raises_in_forgetful_run():
+    fa = ForgetfulAutomaton(states=("a",), rels=1, initial="a",
+                            deltas={"0": lambda nvec: "a"},
+                            accepting=frozenset())
+    with pytest.raises(InitializationError):
+        forgetful_run(fa, make(1, 1, ["0", "1"], []))
+
+
+def test_unknown_relation_index_is_refused():
+    a = constant_automaton()
+    with pytest.raises(ValueError, match="unknown relation"):
+        sync_run(a, Digraph(0, 1, ("", ""), frozenset({(2, 0, 1)})))

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 
-from disto import graphs
+from disto import graphs, zoo
+from disto.automata import sync_run
 from disto.graphs import (Digraph, OracleBoundError, canonical_form, dipath,
                           enumerate_digraphs, enumerate_ordered_ditrees,
                           enumerate_rooted_ditrees, grid, is_dipath,
@@ -140,3 +144,25 @@ def test_json_roundtrip_and_field_order():
     assert back == pd
     plain = grid(2, 2)
     assert graphs.from_json_dict(graphs.to_json_dict(plain)) == plain
+
+
+def test_adjacency_does_not_keep_digraphs_alive():
+    a = zoo.reachability_automaton()
+    d = make(1, 1, ["1", "0", "0"], [(1, 0, 1), (1, 1, 2)])
+    sync_run(a, d)
+    assert d.in_neighbors(1, 2) == (1,) and d.out_neighbors(1, 0) == (1,)
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
+def test_equal_digraphs_build_their_own_adjacency():
+    d1 = make(0, 1, ["", ""], [(1, 0, 1)])
+    d2 = make(0, 1, ["", ""], [(1, 0, 1)])
+    assert d1 == d2 and hash(d1) == hash(d2) and d1 is not d2
+    assert d1.in_neighbors(1, 1) == (0,)
+    assert "_in" in vars(d1) and "_in" not in vars(d2)
+    assert d2.in_neighbors(1, 1) == (0,)
+    assert vars(d1)["_in"] is not vars(d2)["_in"]
+    assert repr(d1) == repr(d2)
