@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import formulas as fm
+from .automata import Guard, _in_slots, _Interned
 from .graphs import Digraph, enumerate_digraphs
 
 GAME_SUCCESSOR_CAP = 200_000
@@ -119,37 +120,6 @@ class AltAutomaton:
             succ[q] = frozenset(targets)
         return succ
 
-    def interned(self) -> "_Interned":
-        cached = getattr(self, "_interned", None)
-        if cached is None:
-            cached = _Interned(self)
-            object.__setattr__(self, "_interned", cached)
-        return cached
-
-
-class _Interned:
-    """Integer-state view of an automaton with a persistent transition
-    memo, shared across acceptance queries."""
-
-    def __init__(self, a: AltAutomaton):
-        self.a = a
-        self.names = a.states
-        self.ids = {q: i for i, q in enumerate(a.states)}
-        self.kinds = tuple(a.kind[q] for q in a.states)
-        self.init = {lab: self.ids[q] for lab, q in a.init.items()}
-        self.step_memo: dict = {}
-
-    def options(self, qid: int, nvec_ids) -> tuple:
-        key = (qid, nvec_ids)
-        got = self.step_memo.get(key)
-        if got is None:
-            raw = self.a.step(
-                self.names[qid],
-                tuple(frozenset(self.names[i] for i in ns)
-                      for ns in nvec_ids))
-            got = tuple(sorted(self.ids[t] for t in raw))
-            self.step_memo[key] = got
-        return got
 
 def _all_nvecs(states, rels) -> Iterable[NVec]:
     subsets = [frozenset(c) for k in range(len(states) + 1)
@@ -310,34 +280,32 @@ def global_successors(a: AltAutomaton, conf: tuple, d: Digraph) -> list[tuple]:
     return [tuple(choice) for choice in itertools.product(*options)]
 
 
+# ORed over a configuration: 0 permanent (or no nodes), 1 E, 2 U, 3 mixed
+_KIND_BIT = {"E": 1, "U": 2, "P": 0}
+
+
 def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
     """Game evaluation over reachable configurations: OR at existential,
     AND at universal, accepting-set membership at permanent ones.
 
-    States are interned as integers so configurations hash cheaply.
+    Configurations are tuples of state ids.  A node's options are memoised
+    on the automaton, for all digraphs, under the round loop's integer key
+    (own state in slot 0, received states in slots 1..rels); a key missing
+    from the memo is decoded and passed to ``a.step``.  States are interned
+    up front in declared order, so option tuples sort as the states are
+    declared and a delta target outside ``a.states`` has no id.
     """
     if a.rels != d.rels:
         raise AltError(f"automaton has {a.rels} relations, digraph {d.rels}")
-    iv = a.interned()
-    kinds, names = iv.kinds, iv.names
-    n = d.n
-    in_tab = [tuple(d.in_neighbors(i, v) for i in range(1, d.rels + 1))
-              for v in range(n)]
-    acc_memo: dict = {}
-    memo: dict = {}
-
-    def successors(conf):
-        opts = [iv.options(conf[v],
-                           tuple(frozenset(conf[u] for u in nbrs)
-                                 for nbrs in in_tab[v]))
-                for v in range(n)]
-        count = 1
-        for o in opts:
-            count *= len(o)
-            if count > GAME_SUCCESSOR_CAP:
-                raise AltError("configuration has too many successors "
-                               f"(cap {GAME_SUCCESSOR_CAP})")
-        return opts, count
+    if "_interned" not in a.__dict__:
+        ix = _Interned(a.rels)
+        for q in a.states:
+            ix.intern(q)
+        a._interned = ix, [_KIND_BIT[a.kind[q]] for q in ix.names]
+    ix, kind_bits = a._interned
+    ids, names, bits, options = ix.ids, ix.names, ix.bits, ix.memo
+    slots = _in_slots(d, True)
+    acc_memo, memo = {}, {}
 
     def value(conf: tuple) -> bool:
         got = memo.get(conf)
@@ -346,8 +314,10 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
         chain = []
         while True:
             chain.append(conf)
-            present = {kinds[q] for q in conf}
-            if present <= {"P"}:
+            mask = 0
+            for q in conf:
+                mask |= kind_bits[q]
+            if not mask:
                 occ = frozenset(conf)
                 out = acc_memo.get(occ)
                 if out is None:
@@ -355,11 +325,25 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
                         frozenset(names[i] for i in occ))
                     acc_memo[occ] = out
                 break
-            nonperm = present - {"P"}
-            if len(nonperm) > 1:
+            if mask == 3:
                 raise MixedConfiguration(
                     "configuration mixes existential and universal states")
-            opts, count = successors(conf)
+            received = [b for q in conf for b in bits[q]]
+            opts, count = [], 1
+            for node_slots in slots:
+                key = 0
+                for j in node_slots:
+                    key |= received[j]
+                o = options.get(key)
+                if o is None:
+                    raw = a.step(*ix.decode(key))
+                    o = options[key] = tuple(sorted(ids[t] for t in raw))
+                opts.append(o)
+            for o in opts:
+                count *= len(o)
+                if count > GAME_SUCCESSOR_CAP:
+                    raise AltError("configuration has too many successors "
+                                   f"(cap {GAME_SUCCESSOR_CAP})")
             if count == 1:
                 # deterministic round: pass through without branching
                 conf = tuple(o[0] for o in opts)
@@ -368,14 +352,14 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
                     out = got
                     break
                 continue
-            combine = any if nonperm == {"E"} else all
+            combine = any if mask == 1 else all
             out = combine(value(c) for c in itertools.product(*opts))
             break
         for c in chain:
             memo[c] = out
         return out
 
-    return value(tuple(iv.init[d.label(v)] for v in range(n)))
+    return value(tuple(ids[a.init[lab]] for lab in d.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -978,8 +962,6 @@ def to_json_dict(a: AltAutomaton) -> dict:
 
 
 def from_json_dict(obj: dict) -> AltAutomaton:
-    from .automata import Guard
-
     names = tuple(s["name"] for s in obj["states"])
     kind = {s["name"]: s["kind"] for s in obj["states"]}
     rules = obj["rules"]

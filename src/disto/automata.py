@@ -151,9 +151,10 @@ class RunResult:
 class _Interned:
     """Integer ids for the names an automaton's runs meet, and its
     transitions memoised on integer keys.  Name i sets bit i * (rels + 1) + s
-    of a node's key: slot s = 0 for the node's own state (synchronous runs)
-    or letter (forgetful runs), slot s = r for a state received over
-    relation r.  Ids are only appended, so a key keeps its meaning."""
+    of a node's key: slot s = 0 for the node's own state (synchronous runs,
+    alternating games) or letter (forgetful runs), slot s = r for a state
+    received over relation r.  Ids are only appended, so a key keeps its
+    meaning."""
 
     def __init__(self, rels: int):
         self.rels, self.names, self.ids = rels, [], {}
@@ -182,6 +183,19 @@ class _Interned:
         return own, tuple(map(frozenset, received))
 
 
+def _in_slots(d: Digraph, own: bool) -> list[list[int]]:
+    """Per node, the positions in a round's received bits (node u's bit for
+    slot s at u * (rels + 1) + s) that its key ORs together: its own slot 0
+    if ``own``, then slot r of u for each edge (r, u, v)."""
+    stride = d.rels + 1
+    slots = [[v * stride] if own else [] for v in d.nodes()]
+    for (r, u, v) in d.edges:
+        if not 0 < r < stride:
+            raise ValueError(f"edge ({r},{u},{v}) uses an unknown relation index")
+        slots[v].append(u * stride + r)
+    return slots
+
+
 def _run_rounds(a, d: Digraph, initial: Sequence[str],
                 letters: Sequence[str] | None, horizon, cap: int) -> RunResult:
     """The round loop of synchronous runs (``letters`` None: slot 0 holds
@@ -190,14 +204,10 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
     ix = a.__dict__.get("_round_ids")
     if ix is None or ix.rels != d.rels:
         ix = a.__dict__["_round_ids"] = _Interned(d.rels)
-    stride, memo, bits = d.rels + 1, ix.memo, ix.bits
+    memo, bits = ix.memo, ix.bits
     own = letters is None
     base = [0] * d.n if own else [bits[ix.intern(x)][0] for x in letters]
-    slots = [[v * stride] if own else [] for v in d.nodes()]
-    for (r, u, v) in d.edges:
-        if not 0 < r < stride:
-            raise ValueError(f"edge ({r},{u},{v}) uses an unknown relation index")
-        slots[v].append(u * stride + r)
+    slots = _in_slots(d, own)
     conf = tuple(map(ix.intern, initial))
     seen, configs = {conf: 0}, [conf]
     auto = horizon == "auto"

@@ -370,6 +370,10 @@ def main(argv=None) -> int:
         print(report_format("input-error",
                             {"message": f"{type(e).__name__}: {e}"}))
         return 1
+    except (automata.HorizonExceeded, automata.ClassificationInfeasible) as e:
+        print(report_format("limit-exceeded",
+                            {"message": f"{type(e).__name__}: {e}"}))
+        return 1
     print(report_format(verdict, details))
     if args.strict and verdict in _REJECTING_VERDICTS:
         return 2

@@ -67,13 +67,17 @@ class Digraph:
 
     def _adjacency(self, at: int, other: int):
         """Per relation and node e[at], the sorted e[other] of edges e."""
-        table = [[[] for _ in range(self.n)] for _ in range(self.rels)]
-        for e in self.edges:
-            table[e[0] - 1][e[at]].append(e[other])
-        for per_rel in table:
+        table = {r: [[] for _ in range(self.n)] for r in range(1, self.rels + 1)}
+        try:
+            for e in self.edges:
+                table[e[0]][e[at]].append(e[other])
+        except KeyError:  # keyed by relation: no per-edge range check
+            raise ValueError("edge ({},{},{}) uses an unknown relation "
+                             "index".format(*e)) from None
+        for per_rel in table.values():
             for vs in per_rel:
                 vs.sort()
-        return tuple([tuple(map(tuple, per_rel)) for per_rel in table])
+        return tuple([tuple(map(tuple, per_rel)) for per_rel in table.values()])
 
     def in_neighbors(self, i: int, v: int) -> tuple[int, ...]:
         return self._in[i - 1][v]

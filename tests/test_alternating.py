@@ -14,7 +14,7 @@ from disto.alternating import (AltAutomaton, AltError, ExplicitSets,
                                is_nondeterministic, length, nldag_emptiness,
                                normalize_profile, project, union,
                                validate_alt)
-from disto.graphs import enumerate_digraphs, make
+from disto.graphs import Digraph, enumerate_digraphs, make
 
 import gens
 
@@ -154,6 +154,172 @@ def test_deterministic_classification_and_unique_successors():
     assert not is_deterministic(zoo.three_col_aldag())
     assert is_nondeterministic(zoo.three_col_aldag())
     assert not is_nondeterministic(zoo.non_three_col_aldag())
+
+
+# ---------------------------------------------------------------------------
+# The game keys each node's options on the round loop's integer keys and
+# memoises them on the automaton; every test below runs it against the
+# run-tree oracle (built on ``global_successors``) on digraphs where a
+# node's options depend on what it receives.
+
+def agrees(a: AltAutomaton, digraphs) -> None:
+    for d in digraphs:
+        assert decide_acceptance_alt(a, d) == accepting_run_exists(a, d), d
+
+
+def rule_automaton(states: str, init: dict, rules: list, accepting,
+                   rels: int = 1) -> AltAutomaton:
+    """A JSON rule automaton; ``states`` lists name:kind pairs."""
+    return alt.from_json_dict({
+        "states": [dict(zip(("name", "kind"), s.split(":")))
+                   for s in states.split()],
+        "relations": rels, "init": init,
+        "rules": [{"from": src, "guards": [
+                       {"rel": r, "op": op, "set": list(xs)}
+                       for (r, op, xs) in guards], "to": list(to)}
+                  for (src, guards, to) in rules]
+        + [{"from": p, "guards": [], "to": [p]} for p in ("yes", "no")],
+        "accepting_sets": [list(x) for x in accepting]})
+
+
+def in_edges_pick(kind: dict, none, some) -> AltAutomaton:
+    """'ini' goes to ``none`` at a node without in-neighbours and to
+    ``some`` at one with; every other nonpermanent state says 'no' if it
+    receives itself, else 'yes'.  Node 0 of the digraphs below has no
+    in-neighbour and goes first, so a memo that ignored the received
+    states would give every node node 0's options."""
+    def delta(q, nvec):
+        if q == "ini":
+            return frozenset(some if nvec[0] else none)
+        if q in ("yes", "no"):
+            return frozenset({q})
+        return frozenset({"no" if q in nvec[0] else "yes"})
+
+    kind = {"ini": "E", "yes": "P", "no": "P", **kind}
+    return AltAutomaton(states=tuple(kind), kind=kind, rels=1,
+                        init={"": "ini"}, delta=delta,
+                        accepting=explicit({"yes"}))
+
+
+def star(n: int):
+    return make(0, 1, [""] * n, [(1, 0, v) for v in range(1, n)])
+
+
+def test_game_matches_oracle_on_two_relations():
+    # 2-colour relation 2 (an in-neighbour of the same colour loses);
+    # an 'a' node with a 'b' in-neighbour over relation 1 loses a branch
+    a = rule_automaton(
+        "ini:E a:U b:U yes:P no:P", {"": "ini"}, rels=2,
+        accepting=(["yes"],), rules=[
+            ("ini", [], ["a", "b"]),
+            ("a", [(2, "supseteq", ["a"])], ["no"]),
+            ("a", [(1, "supseteq", ["b"]), (2, "any", [])], ["yes", "no"]),
+            ("a", [], ["yes"]),
+            ("b", [(2, "supseteq", ["b"])], ["no"]),
+            ("b", [], ["yes"])])
+    assert validate_alt(a).ok
+    rng = random.Random(51)
+    pairs = [(r, u, v) for r in (1, 2) for u in range(3) for v in range(3)]
+    family = list(enumerate_digraphs(2, bits=0, rels=2))
+    family += [make(0, 2, [""] * 3, [e for e in pairs if rng.random() < 0.3])
+               for _ in range(150)]
+    agrees(a, family)
+    assert {decide_acceptance_alt(a, d) for d in family} == {True, False}
+
+
+def test_game_matches_oracle_on_labelled_digraphs():
+    a = rule_automaton(
+        "z:E o:E x:U y:U yes:P no:P", {"0": "z", "1": "o"}, rules=[
+            ("z", [(1, "supseteq", ["o"])], ["x", "y"]),
+            ("z", [], ["x"]),
+            ("o", [(1, "eq", [])], ["y"]),
+            ("o", [], ["x", "y"]),
+            ("x", [(1, "subseteq", ["x"])], ["yes"]),
+            ("x", [], ["yes", "no"]),
+            ("y", [(1, "supseteq", ["x"])], ["no"]),
+            ("y", [], ["yes"])], accepting=(["yes"],))
+    assert validate_alt(a).ok
+    family = list(enumerate_digraphs(3, bits=1, rels=1, iso_reduce=True))
+    agrees(a, family)
+    assert {decide_acceptance_alt(a, d) for d in family} == {True, False}
+
+
+def test_game_matches_oracle_on_universal_complements():
+    # most small random languages depend on the node count alone: check
+    # every draw whose complement tells two digraphs of one size apart
+    family = list(enumerate_digraphs(3, bits=0, rels=1, iso_reduce=True))
+    rng = random.Random(52)
+    checked = 0
+    for _ in range(120):
+        c = complement(gens.random_nldag(rng, max_states=3, max_length=1))
+        got = [decide_acceptance_alt(c, d) for d in family]
+        if len(set(zip(got, (d.n for d in family)))) > 3:  # a size has both
+            assert "U" in c.kind.values()
+            assert got == [accepting_run_exists(c, d) for d in family]
+            checked += 1
+    assert checked >= 3
+
+
+def test_game_on_the_empty_digraph():
+    empty = Digraph(0, 1, (), frozenset())
+    picks = random.Random(53).sample(list(sweep(3)), 40)
+    for a, want in ((zoo.three_col_aldag(), False),
+                    (complement(zoo.three_col_aldag()), True)):
+        assert decide_acceptance_alt(a, empty) is want
+        assert accepting_run_exists(a, empty) is want
+        agrees(a, picks[:20] + [empty] + picks[20:])
+
+
+def test_one_automaton_across_shuffled_digraphs():
+    family = list(enumerate_digraphs(4, bits=0, rels=1, iso_reduce=True))
+    random.Random(54).shuffle(family)
+    for a in (zoo.three_col_aldag(), zoo.non_three_col_aldag()):
+        agrees(a, family[:500])
+        for d in family[500:1500]:
+            assert decide_acceptance_alt(a, d) == (
+                zoo.is_three_colorable(d) == (a.kind["ini"] == "E"))
+
+
+def test_game_raises_on_mixed_configuration():
+    a = in_edges_pick({"e": "E", "u": "U"}, {"e"}, {"u"})
+    for decide in (decide_acceptance_alt, accepting_run_exists):
+        with pytest.raises(alt.MixedConfiguration):
+            decide(a, star(2))
+    agrees(a, [make(0, 1, ["", ""], [])])
+
+
+def test_game_successor_cap(monkeypatch):
+    monkeypatch.setattr(alt, "GAME_SUCCESSOR_CAP", 8)
+    a = in_edges_pick({"c1": "E", "c2": "E", "c3": "E"},
+                      {"c1"}, {"c1", "c2", "c3"})
+    for decide in (decide_acceptance_alt, accepting_run_exists):
+        with pytest.raises(AltError, match="too many successors"):
+            decide(a, star(3))  # 1 * 3 * 3 successors
+    agrees(a, [star(2), make(0, 1, [""] * 4, [(1, 0, 1)])])
+
+
+def test_game_refuses_undeclared_delta_target():
+    a = in_edges_pick({"e": "E"}, {"e"}, {"ghost"})
+    for decide in (decide_acceptance_alt, accepting_run_exists):
+        with pytest.raises(KeyError):
+            decide(a, star(2))
+    agrees(a, [make(0, 1, ["", ""], [])])
+
+
+def test_game_relation_count_must_match():
+    a = in_edges_pick({"c1": "E", "c2": "E"}, {"c1"}, {"c1", "c2"})
+    with pytest.raises(AltError, match="relations"):
+        decide_acceptance_alt(a, Digraph(0, 2, ("",), frozenset()))
+    agrees(a, sweep(3))
+
+
+def test_game_refuses_relation_zero():
+    a = in_edges_pick({"c1": "E", "c2": "E"}, {"c1"}, {"c1", "c2"})
+    bad = Digraph(0, 1, ("", ""), frozenset({(0, 0, 1)}))
+    for decide in (decide_acceptance_alt, accepting_run_exists):
+        with pytest.raises(ValueError, match="unknown relation index"):
+            decide(a, bad)
+    agrees(a, sweep(3))
 
 
 # ---------------------------------------------------------------------------

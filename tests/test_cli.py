@@ -51,6 +51,14 @@ def test_run_verb_reports_lasso(capsys, fig_automaton_file, edge_graph_file):
     assert out["details"]["period"] == 1
 
 
+def test_run_past_its_horizon_reports_limit_exceeded(
+        capsys, fig_automaton_file, edge_graph_file):
+    code, out = run_cli(capsys, "run", fig_automaton_file, edge_graph_file,
+                        "--horizon", "0")
+    assert code == 1 and out["verdict"] == "limit-exceeded"
+    assert out["details"]["message"].startswith("HorizonExceeded: ")
+
+
 def test_exit_codes(capsys, fig_automaton_file, tmp_path):
     lonely = tmp_path / "lone.json"
     pd = graphs.make(1, 1, ["0"], [], point=0)

@@ -4,6 +4,7 @@ import weakref
 import pytest
 
 from disto import graphs, zoo
+from disto.alternating import decide_acceptance_alt
 from disto.automata import sync_run
 from disto.graphs import (Digraph, OracleBoundError, canonical_form, dipath,
                           enumerate_digraphs, enumerate_ordered_ditrees,
@@ -155,6 +156,30 @@ def test_adjacency_does_not_keep_digraphs_alive():
     del d
     gc.collect()
     assert ref() is None
+
+
+def test_game_does_not_keep_digraphs_alive():
+    a = zoo.three_col_aldag()
+    k4 = make(0, 1, [""] * 4,
+              [(1, u, v) for u in range(4) for v in range(4) if u != v])
+    assert not decide_acceptance_alt(a, k4)
+    held = set(vars(a))
+    ref = weakref.ref(k4)
+    del k4
+    gc.collect()
+    assert ref() is None
+    assert decide_acceptance_alt(a, make(0, 1, ["", ""], [(1, 0, 1)]))
+    assert set(vars(a)) == held  # per-automaton state only
+
+
+@pytest.mark.parametrize("rel", [0, 3])
+def test_adjacency_refuses_unknown_relation_index(rel):
+    d = Digraph(0, 2, ("", ""), frozenset({(rel, 0, 1)}))
+    for lookup in (d.in_neighbors, d.out_neighbors):
+        with pytest.raises(ValueError, match=rf"edge \({rel},0,1\) uses an "
+                                             "unknown relation index"):
+            lookup(2, 1)
+    assert validate(d) == f"edge ({rel},0,1) uses an unknown relation index"
 
 
 def test_equal_digraphs_build_their_own_adjacency():
