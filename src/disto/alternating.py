@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import formulas as fm
-from .automata import Guard, _in_slots, _Interned
+from .automata import Guard, _in_slots, _Interned, all_nvecs
 from .graphs import Digraph, enumerate_digraphs
 
 GAME_SUCCESSOR_CAP = 200_000
@@ -85,6 +85,7 @@ class AltAutomaton:
             raise AltError(f"bad state kinds {kinds - {'E', 'U', 'P'}}")
         if not any(k == "P" for k in self.kind.values()):
             raise AltError("the set of permanent states must be nonempty")
+        self._declared = frozenset(self.states)
 
     def permanent(self) -> frozenset:
         return frozenset(q for q in self.states if self.kind[q] == "P")
@@ -96,6 +97,11 @@ class AltAutomaton:
             out = frozenset(self.delta(q, nvec))
             if not out:
                 raise AltError(f"empty transition value at state {q!r}")
+            extra = out - self._declared
+            if extra:
+                raise AltError(f"transition from state {q!r} on {nvec} "
+                               f"targets undeclared states "
+                               f"{sorted(extra, key=repr)}")
             self._memo[key] = out
         return out
 
@@ -115,16 +121,10 @@ class AltAutomaton:
         succ = {}
         for q in self.states:
             targets = set()
-            for nvec in _all_nvecs(self.states, self.rels):
+            for nvec in all_nvecs(self.states, self.rels):
                 targets |= self.step(q, nvec)
             succ[q] = frozenset(targets)
         return succ
-
-
-def _all_nvecs(states, rels) -> Iterable[NVec]:
-    subsets = [frozenset(c) for k in range(len(states) + 1)
-               for c in itertools.combinations(states, k)]
-    return itertools.product(subsets, repeat=rels)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +239,7 @@ def is_deterministic(a: AltAutomaton) -> bool:
     if len(a.states) * a.rels > ENUM_LIMIT:
         raise AltError("state space too large for the determinism check")
     return all(len(a.step(q, nvec)) == 1
-               for q in a.states for nvec in _all_nvecs(a.states, a.rels))
+               for q in a.states for nvec in all_nvecs(a.states, a.rels))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
     (own state in slot 0, received states in slots 1..rels); a key missing
     from the memo is decoded and passed to ``a.step``.  States are interned
     up front in declared order, so option tuples sort as the states are
-    declared and a delta target outside ``a.states`` has no id.
+    declared; ``a.step`` refuses a delta target outside ``a.states``.
     """
     if a.rels != d.rels:
         raise AltError(f"automaton has {a.rels} relations, digraph {d.rels}")

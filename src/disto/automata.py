@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Digraph, PointedDigraph
+from .graphs import Digraph, PointedDigraph, edge_fault, subsets
 
 DEFAULT_HORIZON_CAP = 10 ** 6
 CLASSIFY_LIMIT = 18  # max |Q| * rels for exhaustive delta enumeration
@@ -124,13 +124,13 @@ class DistributedAutomaton:
         except KeyError:
             raise InitializationError(f"no initial state for label {label!r}")
 
-    def all_nvecs(self) -> Iterable[NVec]:
-        subsets = [frozenset(c) for k in range(len(self.states) + 1)
-                   for c in itertools.combinations(self.states, k)]
-        return itertools.product(subsets, repeat=self.rels)
-
     def enumeration_feasible(self) -> bool:
         return len(self.states) * self.rels <= CLASSIFY_LIMIT
+
+
+def all_nvecs(states: Iterable[str], rels: int) -> Iterable[NVec]:
+    """Every neighbourhood over ``states``: one subset per relation."""
+    return itertools.product(subsets(states), repeat=rels)
 
 
 @dataclass(frozen=True)
@@ -187,11 +187,11 @@ def _in_slots(d: Digraph, own: bool) -> list[list[int]]:
     """Per node, the positions in a round's received bits (node u's bit for
     slot s at u * (rels + 1) + s) that its key ORs together: its own slot 0
     if ``own``, then slot r of u for each edge (r, u, v)."""
-    stride = d.rels + 1
-    slots = [[v * stride] if own else [] for v in d.nodes()]
-    for (r, u, v) in d.edges:
-        if not 0 < r < stride:
-            raise ValueError(f"edge ({r},{u},{v}) uses an unknown relation index")
+    stride, n = d.rels + 1, d.n
+    slots = [[v * stride] if own else [] for v in range(n)]
+    for r, u, v in d.edges:
+        if not (0 < r < stride and 0 <= u < n and 0 <= v < n):
+            raise ValueError(edge_fault(d, (r, u, v)))
         slots[v].append(u * stride + r)
     return slots
 
@@ -200,7 +200,9 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
                 letters: Sequence[str] | None, horizon, cap: int) -> RunResult:
     """The round loop of synchronous runs (``letters`` None: slot 0 holds
     a node's current state) and forgetful runs (slot 0 holds its letter).
-    A key missing from the memo is decoded and passed to ``a.step``."""
+    A key missing from the memo is decoded and passed to ``a.step``; ``a``
+    needs nothing else but a ``__dict__`` for the memo, so states may be
+    any hashable values (``formulas.MuEvaluator`` runs on frozensets)."""
     ix = a.__dict__.get("_round_ids")
     if ix is None or ix.rels != d.rels:
         ix = a.__dict__["_round_ids"] = _Interned(d.rels)
@@ -293,7 +295,7 @@ def validate_total(a: DistributedAutomaton) -> tuple | None:
             "no catch-all rules and the state space is too large for an "
             "exhaustive totality check")
     for q in a.states:
-        for nvec in a.all_nvecs():
+        for nvec in all_nvecs(a.states, a.rels):
             try:
                 a.step(q, nvec)
             except UnmatchedTransition:
@@ -309,7 +311,7 @@ def state_diagram(a: DistributedAutomaton) -> dict[str, set[str]]:
             f"exhaustive enumeration limit")
     succ: dict[str, set[str]] = {q: set() for q in a.states}
     for q in a.states:
-        for nvec in a.all_nvecs():
+        for nvec in all_nvecs(a.states, a.rels):
             succ[q].add(a.step(q, nvec))
     return succ
 
@@ -347,7 +349,7 @@ def _check_monovisioned(a: DistributedAutomaton) -> bool:
     for sink in set(a.states) - set(a.accepting):
         ok = True
         for q in a.states:
-            for nvec in a.all_nvecs():
+            for nvec in all_nvecs(a.states, a.rels):
                 must = len(nvec[0]) > 1 or sink in nvec[0] or q == sink
                 if must and a.step(q, nvec) != sink:
                     ok = False

@@ -9,10 +9,9 @@ by copies of smaller witnesses).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .automata import (DistributedAutomaton, ForgetfulAutomaton,
+from .automata import (DistributedAutomaton, ForgetfulAutomaton, all_nvecs,
                        decide_acceptance_forgetful, decide_acceptance_sync,
                        forgetful_run)
 from .graphs import (OracleBoundError, PointedDigraph,
@@ -44,11 +43,9 @@ def _step_sets(a: ForgetfulAutomaton, current: frozenset):
     """delta-hat: all states producible from subsets of the current set,
     plus one generating (letter, neighborhood) pair per new state."""
     out: dict[str, tuple] = {}
-    members = sorted(current)
-    subsets = [frozenset(c) for k in range(len(members) + 1)
-               for c in itertools.combinations(members, k)]
+    nvecs = list(all_nvecs(sorted(current), a.rels))
     for letter in a.letters():
-        for nvec in itertools.product(subsets, repeat=a.rels):
+        for nvec in nvecs:
             q = a.step(letter, nvec)
             key = (letter, tuple(tuple(sorted(s)) for s in nvec))
             if q not in out or key < out[q]:

@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
-from .graphs import Digraph, OracleBoundError, PointedDigraph
+from .automata import DEFAULT_HORIZON_CAP, _run_rounds
+from .graphs import Digraph, OracleBoundError, PointedDigraph, subsets
 
 MSO_NODE_BOUND = 6
 
@@ -350,15 +350,9 @@ def _holds(f: Formula, ctx: _Ctx, env: dict) -> bool:
     if isinstance(f, (ExistsSet, ForallSet)):
         combine = any if isinstance(f, ExistsSet) else all
         return combine(
-            _holds(f.body, ctx, {**env, f.sym: frozenset(sub)})
-            for sub in _subsets(tuple(d.nodes())))
+            _holds(f.body, ctx, {**env, f.sym: sub})
+            for sub in subsets(d.nodes()))
     raise TypeError(f"not a formula: {f!r}")
-
-
-def _subsets(items: tuple) -> Iterator[frozenset]:
-    for k in range(len(items) + 1):
-        for combo in itertools.combinations(items, k):
-            yield frozenset(combo)
 
 
 def eval_modal(f: Formula, pd: PointedDigraph, env: dict | None = None) -> bool:
@@ -469,6 +463,10 @@ class MuSystem:
             raise ValueError("a mu-system needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate fixpoint variables")
+        for name in self.variables:
+            if label_constant_index(name) is not None:
+                raise KernelViolation(f"fixpoint variable {name!r} is named "
+                                      f"like a label constant")
         for body in self.bodies:
             _check_mu_body(body, set(self.variables), self.bits)
 
@@ -619,141 +617,68 @@ def flatten_mu(system: MuSystem) -> MuSystem:
     return MuSystem(system.bits, tuple(names), tuple(bodies))
 
 
-class MuEvaluator:
-    """Reusable fixpoint evaluator compiled to bitmask operations.
+def _pair_holds(f, own: frozenset, neigh) -> bool:
+    """Whether a flattened mu body holds at a node whose own propositions
+    are ``own`` and whose in-neighbours' proposition sets are ``neigh``:
+    atoms read ``own``, backward modalities quantify over ``neigh``, and
+    their arguments are read with no neighbours of their own."""
+    if isinstance(f, In):
+        return f.setsym in own
+    if isinstance(f, Not):
+        return f.arg.setsym not in own
+    if isinstance(f, Or):
+        return any(_pair_holds(g, own, neigh) for g in f.args)
+    if isinstance(f, And):
+        return all(_pair_holds(g, own, neigh) for g in f.args)
+    if isinstance(f, BDia):
+        return any(_pair_holds(f.args[0], n, ()) for n in neigh)
+    if isinstance(f, BBox):
+        return all(_pair_holds(f.args[0], n, ()) for n in neigh)
+    if isinstance(f, Top):
+        return True
+    if isinstance(f, Bot):
+        return False
+    raise TypeError(f"not a flattened mu body: {f!r}")
 
-    Variable valuations are per-node integer masks; backward diamonds over
-    plain variables become mask tests against the union of in-neighbor
-    masks.  The system is flattened first so every body has modal depth at
-    most one; body results are then soundly memoized on (own label, own
-    mask, sorted in-neighbor label/mask pairs), which pays off across
-    sweeps over many digraphs.  Agrees with eval_mu_full; cross-checked in
-    tests.
+
+class MuEvaluator:
+    """Reusable fixpoint evaluator: the flattened system run as a
+    distributed automaton on the synchronous round loop.
+
+    A node's state is the set of its label propositions P<i> and of the
+    flattened variables that hold there.  A round recomputes every variable
+    from the label part of the node's state and the states of its
+    in-neighbours over relation 1, so from the label-only configuration the
+    run visits the approximants of the least fixpoint and its lasso prefix
+    is the iteration count.  The round loop memoises transitions on the
+    evaluator, for all digraphs.  Agrees with eval_mu_full; cross-checked
+    in tests.
     """
 
     def __init__(self, system: MuSystem):
         self.system = system
-        self._flat = flatten_mu(system)
-        self.bit = {name: 1 << i
-                    for i, name in enumerate(self._flat.variables)}
-        self._memos = [dict() for _ in self._flat.bodies]
-        self._fns = [self._compile(b) for b in self._flat.bodies]
+        flat = flatten_mu(system)
+        self._vars = frozenset(flat.variables)
+        self._bodies = tuple(zip(flat.variables, flat.bodies))
 
-    # each compiled body is fn(v, lab, Y, S, inn) -> bool, where Y[u] is the
-    # valuation mask at u and S[v] the union over in-neighbors of v
-    def _compile(self, f):
-        bit = self.bit
-
-        def var_mask_of(g) -> int | None:
-            """Mask when g is a disjunction of plain variables, else None."""
-            if isinstance(g, In) and g.at is None and g.setsym in bit:
-                return bit[g.setsym]
-            if isinstance(g, Or):
-                m = 0
-                for h in g.args:
-                    sub = var_mask_of(h)
-                    if sub is None:
-                        return None
-                    m |= sub
-                return m
-            if isinstance(g, Bot):
-                return 0
-            return None
-
-        if isinstance(f, Top):
-            return lambda v, lab, Y, S, inn: True
-        if isinstance(f, Bot):
-            return lambda v, lab, Y, S, inn: False
-        if isinstance(f, In):
-            if f.setsym in bit:
-                m = bit[f.setsym]
-                return lambda v, lab, Y, S, inn: bool(Y[v] & m)
-            idx = label_constant_index(f.setsym) - 1
-            return lambda v, lab, Y, S, inn: lab[v][idx] == "1"
-        if isinstance(f, Not):
-            idx = label_constant_index(f.arg.setsym) - 1
-            return lambda v, lab, Y, S, inn: lab[v][idx] == "0"
-        if isinstance(f, (Or, And)):
-            want = isinstance(f, And)
-            # merge runs of backward diamonds over plain variables into one
-            # subset test, and compile the rest recursively
-            dia_mask = 0
-            rest = []
-            for g in f.args:
-                if want and isinstance(g, BDia):
-                    sub = var_mask_of(g.args[0])
-                    if sub is not None and bin(sub).count("1") == 1:
-                        dia_mask |= sub
-                        continue
-                rest.append(self._compile(g))
-            if want:
-                fns = tuple(rest)
-                m = dia_mask
-                if m:
-                    return lambda v, lab, Y, S, inn: (
-                        not (m & ~S[v])
-                        and all(fn(v, lab, Y, S, inn) for fn in fns))
-                return lambda v, lab, Y, S, inn: all(
-                    fn(v, lab, Y, S, inn) for fn in fns)
-            fns = tuple(rest)
-            return lambda v, lab, Y, S, inn: any(
-                fn(v, lab, Y, S, inn) for fn in fns)
-        if isinstance(f, BDia):
-            m = var_mask_of(f.args[0])
-            if m is not None:
-                return lambda v, lab, Y, S, inn: bool(S[v] & m)
-            sub = self._compile(f.args[0])
-            return lambda v, lab, Y, S, inn: any(
-                sub(u, lab, Y, S, inn) for u in inn[v])
-        if isinstance(f, BBox):
-            m = var_mask_of(f.args[0])
-            if m is not None:
-                return lambda v, lab, Y, S, inn: all(
-                    Y[u] & m for u in inn[v])
-            sub = self._compile(f.args[0])
-            return lambda v, lab, Y, S, inn: all(
-                sub(u, lab, Y, S, inn) for u in inn[v])
-        raise TypeError(f"not a mu body: {f!r}")
+    def step(self, own: frozenset, nvec) -> frozenset:
+        neigh = nvec[0]
+        return own.difference(self._vars).union(
+            name for name, body in self._bodies
+            if _pair_holds(body, own, neigh))
 
     def eval_full(self, d: Digraph):
         """Valuation of the original variables plus the iteration count of
         the flattened system."""
         if self.system.bits != d.bits:
             raise ValueError("label width mismatch")
-        n = d.n
-        lab = d.labels
-        inn = [d.in_neighbors(1, v) for v in range(n)]
-        Y = [0] * n
-        steps = 0
-        names = self.system.variables
-        while True:
-            S = [0] * n
-            for v in range(n):
-                acc = 0
-                for u in inn[v]:
-                    acc |= Y[u]
-                S[v] = acc
-            newY = []
-            for v in range(n):
-                key = (lab[v], Y[v],
-                       tuple(sorted((lab[u], Y[u]) for u in inn[v])))
-                mask = 0
-                for i, fn in enumerate(self._fns):
-                    memo = self._memos[i]
-                    got = memo.get(key)
-                    if got is None:
-                        got = fn(v, lab, Y, S, inn)
-                        memo[key] = got
-                    if got:
-                        mask |= 1 << i
-                newY.append(mask)
-            if newY == Y:
-                break
-            Y = newY
-            steps += 1
-        vals = {name: frozenset(v for v in range(n) if Y[v] >> i & 1)
-                for i, name in enumerate(names)}
-        return vals, steps
+        initial = [frozenset(f"P{i}" for i, b in enumerate(lab, 1) if b == "1")
+                   for lab in d.labels]
+        run = _run_rounds(self, d, initial, None, "auto", DEFAULT_HORIZON_CAP)
+        final = run.configs[-1]
+        vals = {name: frozenset(v for v, q in enumerate(final) if name in q)
+                for name in self.system.variables}
+        return vals, run.prefix
 
     def eval(self, d: Digraph) -> frozenset[int]:
         vals, _ = self.eval_full(d)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ENUM_SAFETY_BOUND = 6
 
@@ -67,13 +67,15 @@ class Digraph:
 
     def _adjacency(self, at: int, other: int):
         """Per relation and node e[at], the sorted e[other] of edges e."""
-        table = {r: [[] for _ in range(self.n)] for r in range(1, self.rels + 1)}
+        n = self.n
+        table = {r: [[] for _ in range(n)] for r in range(1, self.rels + 1)}
         try:
             for e in self.edges:
+                if not (0 <= e[1] < n and 0 <= e[2] < n):
+                    raise ValueError(edge_fault(self, e))
                 table[e[0]][e[at]].append(e[other])
-        except KeyError:  # keyed by relation: no per-edge range check
-            raise ValueError("edge ({},{},{}) uses an unknown relation "
-                             "index".format(*e)) from None
+        except KeyError:  # keyed by relation: no per-edge relation check
+            raise ValueError(edge_fault(self, e)) from None
         for per_rel in table.values():
             for vs in per_rel:
                 vs.sort()
@@ -114,6 +116,25 @@ def make(bits: int, rels: int, labels: Sequence[str],
     return d if point is None else PointedDigraph(d, point)
 
 
+def edge_fault(d: Digraph, e: tuple[int, int, int]) -> str | None:
+    """Why the edge ``e`` does not fit ``d``, or None."""
+    r, s, t = e
+    if not 1 <= r <= d.rels:
+        return f"edge ({r},{s},{t}) uses an unknown relation index"
+    if not (0 <= s < d.n and 0 <= t < d.n):
+        return f"dangling endpoint in edge ({r},{s},{t})"
+    return None
+
+
+def subsets(items: Iterable) -> Iterator[frozenset]:
+    """Every subset of ``items``: by size, then in
+    ``itertools.combinations`` order."""
+    items = tuple(items)
+    for k in range(len(items) + 1):
+        for combo in itertools.combinations(items, k):
+            yield frozenset(combo)
+
+
 def validate(d: Digraph | PointedDigraph) -> str | None:
     """Return None if all invariants hold, else a report naming the first
     violated one."""
@@ -128,11 +149,10 @@ def validate(d: Digraph | PointedDigraph) -> str | None:
     for v, lab in enumerate(d.labels):
         if len(lab) != d.bits or any(c not in "01" for c in lab):
             return f"label of node {v} is not a {d.bits}-bit string"
-    for (r, s, t) in sorted(d.edges):
-        if not 1 <= r <= d.rels:
-            return f"edge ({r},{s},{t}) uses an unknown relation index"
-        if not (0 <= s < d.n and 0 <= t < d.n):
-            return f"dangling endpoint in edge ({r},{s},{t})"
+    for e in sorted(d.edges):
+        fault = edge_fault(d, e)
+        if fault:
+            return fault
     if point is not None and not 0 <= point < d.n:
         return f"point {point} is not a valid node id"
     return None

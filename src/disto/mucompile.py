@@ -13,9 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automata import DistributedAutomaton, classify
+from .automata import DistributedAutomaton, classify, state_diagram
 from .formulas import (And, BBox, BDia, Bot, In, MuSystem, Not, Or, Top,
-                       flatten_mu)
+                       _pair_holds, flatten_mu)
+from .graphs import subsets
 
 MAX_COMPILE_PROPS = 10
 
@@ -44,9 +45,7 @@ def compile_mu_to_aqda(system: MuSystem) -> DistributedAutomaton:
         raise ValueError(
             f"{len(props)} propositions exceed the compile bound of "
             f"{MAX_COMPILE_PROPS} (powerset state space)")
-    subsets = [frozenset(c) for k in range(len(props) + 1)
-               for c in itertools.combinations(props, k)]
-    names = {s: _state_name(s) for s in subsets}
+    names = {s: _state_name(s) for s in subsets(props)}
     by_name = {v: k for k, v in names.items()}
     main = system.variables[0]
 
@@ -55,7 +54,7 @@ def compile_mu_to_aqda(system: MuSystem) -> DistributedAutomaton:
         neigh = frozenset(by_name[x] for x in nvec[0])
         added = {name for name, body in zip(system.variables, system.bodies)
                  if _pair_holds(body, q, neigh)}
-        return names[frozenset(q | added)]
+        return names[q | added]
 
     init = {}
     for labelbits in itertools.product("01", repeat=system.bits):
@@ -64,46 +63,8 @@ def compile_mu_to_aqda(system: MuSystem) -> DistributedAutomaton:
             f"P{i + 1}" for i, b in enumerate(labelbits) if b == "1")]
     accepting = frozenset(n for s, n in names.items() if main in s)
     return DistributedAutomaton(
-        states=tuple(names[s] for s in subsets),
+        states=tuple(names.values()),
         rels=1, init=init, accepting=accepting, delta=delta)
-
-
-def _pair_holds(f, own: frozenset[str], neigh: frozenset[frozenset[str]]) -> bool:
-    """(q, N) |= body for modal-depth <= 1 bodies: atoms read the own set,
-    backward modalities quantify over the incoming proposition sets."""
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, In):
-        return f.setsym in own
-    if isinstance(f, Not):
-        return f.arg.setsym not in own
-    if isinstance(f, Or):
-        return any(_pair_holds(g, own, neigh) for g in f.args)
-    if isinstance(f, And):
-        return all(_pair_holds(g, own, neigh) for g in f.args)
-    if isinstance(f, BDia):
-        return any(_atom_holds(f.args[0], n) for n in neigh)
-    if isinstance(f, BBox):
-        return all(_atom_holds(f.args[0], n) for n in neigh)
-    raise TypeError(f"not a flattened mu body: {f!r}")
-
-
-def _atom_holds(f, props: frozenset[str]) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, In):
-        return f.setsym in props
-    if isinstance(f, Not):
-        return f.arg.setsym not in props
-    if isinstance(f, Or):
-        return any(_atom_holds(g, props) for g in f.args)
-    if isinstance(f, And):
-        return all(_atom_holds(g, props) for g in f.args)
-    raise TypeError(f"modal argument not flat: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +79,7 @@ def _require_quasi_acyclic(a: DistributedAutomaton) -> None:
 
 def successor_map(a: DistributedAutomaton) -> dict[str, set[str]]:
     """q -> {delta(q,N) : N} without self-loops."""
-    succ: dict[str, set[str]] = {q: set() for q in a.states}
-    for q in a.states:
-        for nvec in a.all_nvecs():
-            t = a.step(q, nvec)
-            if t != q:
-                succ[q].add(t)
-    return succ
+    return {q: targets - {q} for q, targets in state_diagram(a).items()}
 
 
 def compute_traces(a: DistributedAutomaton,
@@ -175,17 +130,12 @@ def history_successors(history: frozenset, succ: dict[str, set[str]]):
     one state, and every trace of H has an extension in H'."""
     exts = [[*_extensions(t, succ)] for t in sorted(history)]
     seen = set()
-    for choice in itertools.product(*[_nonempty_subsets(e) for e in exts]):
+    nonempty = [itertools.islice(subsets(e), 1, None) for e in exts]
+    for choice in itertools.product(*nonempty):
         h2 = frozenset(itertools.chain.from_iterable(choice))
         if h2 not in seen:
             seen.add(h2)
             yield h2
-
-
-def _nonempty_subsets(items: list):
-    for k in range(1, len(items) + 1):
-        for combo in itertools.combinations(items, k):
-            yield combo
 
 
 def compute_enables(a: DistributedAutomaton,
@@ -209,20 +159,21 @@ def compute_enables(a: DistributedAutomaton,
     # bitmask encoding of traces and histories
     index = {t: i for i, t in enumerate(sorted(traces))}
     by_index = sorted(traces)
-    ext_masks = []
+    ext_unions = []  # per trace, the nonempty unions of its extensions
     for t in by_index:
         mask = 1 << index[t]
         for q in succ[t[-1]]:
             longer = t + (q,)
             if longer in index:
                 mask |= 1 << index[longer]
-        ext_masks.append(_bits_of(mask))
+        # the sum of distinct single bits is their union
+        ext_unions.append([sum(u) for u in itertools.islice(
+            subsets(1 << i for i in _bits_of(mask)), 1, None)])
 
     def successors_of(history: int):
-        per_trace = [ext_masks[i] for i in _bits_of(history)]
         seen = set()
-        for choice in itertools.product(*[_nonempty_unions(e)
-                                          for e in per_trace]):
+        for choice in itertools.product(*[ext_unions[i]
+                                          for i in _bits_of(history)]):
             h2 = 0
             for m in choice:
                 h2 |= m
@@ -241,13 +192,13 @@ def compute_enables(a: DistributedAutomaton,
 
     enabled: dict[int, set[int]] = {}
     # base: {singleton traces of N} enables q.push(delta(q, N))
-    for nstates in _subsets_of(start_states):
+    for nstates in subsets(start_states):
         history = 0
         for q in nstates:
             history |= 1 << index[(q,)]
         bucket = enabled.setdefault(history, set())
         for q in start_states:
-            target = a.step(q, (frozenset(nstates),))
+            target = a.step(q, (nstates,))
             t = (q,) if target == q else (q, target)
             bucket.add(index[t])
 
@@ -291,22 +242,6 @@ def _bits_of(mask: int) -> list[int]:
         mask >>= 1
         i += 1
     return out
-
-
-def _nonempty_unions(ext: list[int]):
-    """All nonempty subset-unions of the given extension bit indices."""
-    masks = [1 << i for i in ext]
-    for k in range(1, len(masks) + 1):
-        for combo in itertools.combinations(masks, k):
-            m = 0
-            for x in combo:
-                m |= x
-            yield m
-
-
-def _subsets_of(items):
-    for k in range(len(items) + 1):
-        yield from itertools.combinations(items, k)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,11 @@ cell by cell, two cells behind its predecessor.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import DistributedAutomaton, ForgetfulAutomaton
-from .graphs import PointedDigraph, dipath
+from .graphs import PointedDigraph, dipath, subsets
 
 
 @dataclass(frozen=True)
@@ -104,19 +103,18 @@ def fda_to_dfa(a: ForgetfulAutomaton) -> Dfa:
     if a.rels != 1:
         raise ValueError("the word bridge needs a 1-relational automaton")
     letters = a.letters()
-    subsets = [frozenset(c) for k in range(len(a.states) + 1)
-               for c in itertools.combinations(sorted(a.states), k)]
-    name = {s: "{" + ",".join(sorted(s)) + "}" for s in subsets}
+    sets = list(subsets(sorted(a.states)))
+    name = {s: "{" + ",".join(sorted(s)) + "}" for s in sets}
     delta = {}
-    for s in subsets:
+    for s in sets:
         for letter in letters:
             if not s:
                 image = {a.step(letter, (frozenset(),))}
             else:
                 image = {a.step(letter, (frozenset({q}),)) for q in s}
             delta[(name[s], letter)] = name[frozenset({a.initial} | image)]
-    accepting = frozenset(name[s] for s in subsets if s & a.accepting)
-    return Dfa(states=tuple(name[s] for s in subsets), initial=name[frozenset()],
+    accepting = frozenset(name[s] for s in sets if s & a.accepting)
+    return Dfa(states=tuple(name[s] for s in sets), initial=name[frozenset()],
                delta=delta, accepting=accepting)
 
 

@@ -301,7 +301,7 @@ def test_game_successor_cap(monkeypatch):
 def test_game_refuses_undeclared_delta_target():
     a = in_edges_pick({"e": "E"}, {"e"}, {"ghost"})
     for decide in (decide_acceptance_alt, accepting_run_exists):
-        with pytest.raises(KeyError):
+        with pytest.raises(AltError, match="ghost"):
             decide(a, star(2))
     agrees(a, [make(0, 1, ["", ""], [])])
 

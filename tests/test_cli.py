@@ -93,6 +93,16 @@ def test_compile_mu_and_accept(capsys, tmp_path, edge_graph_file):
     assert out["details"]["states"] == 8
 
 
+def test_compile_mu_refuses_a_variable_named_like_a_label_bit(
+        capsys, tmp_path, edge_graph_file):
+    formula = tmp_path / "f.mu"
+    formula.write_text("(mu ((P1 (bdia 1 (in P1)))))")
+    code, out = run_cli(capsys, "compile-mu", str(formula), "--bits", "1",
+                        "--accept", edge_graph_file)
+    assert code == 1 and out["verdict"] == "input-error"
+    assert "'P1'" in out["details"]["message"]
+
+
 def test_decompile_roundtrip(capsys, tmp_path, fig_automaton_file):
     out_path = tmp_path / "dec.mu"
     code, out = run_cli(capsys, "decompile-qda", fig_automaton_file,

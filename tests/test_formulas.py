@@ -206,17 +206,36 @@ def test_flattening_preserves_semantics(mu_corpus):
             assert eval_mu(sys_, d) == eval_mu(flat, d)
 
 
+def _digraph(rng, n, rels):
+    labels = tuple(rng.choice("01") for _ in range(n))
+    edges = frozenset((r, s, t) for r in range(1, rels + 1)
+                      for s in range(n) for t in range(n)
+                      if rng.random() < 0.35)
+    return graphs.Digraph(1, rels, labels, edges)
+
+
 def test_fast_evaluator_matches_reference(mu_corpus):
-    rng = random.Random(55)
-    for sys_ in mu_corpus:
+    """One evaluator per system, reused over every digraph: its valuation is
+    the oracle's on the flattened system restricted to the original
+    variables, with the same step count.  The evaluator reads relation 1
+    only, so a 2-relation digraph is compared with its relation-1 part."""
+    rng = random.Random(62)
+    systems = mu_corpus + [gens.random_mu_system(rng, max_vars=3, depth=3,
+                                                 flat=False)
+                           for _ in range(6)]
+    digraphs = [_digraph(rng, n, rels) for n in range(7) for rels in (1, 2)
+                for _ in range(2)]
+    for sys_ in systems:
         ev = MuEvaluator(sys_)
-        flat_m = len(ev._flat.variables)
-        for _ in range(12):
-            d = gens.random_digraph(rng, 4, bits=1)
-            ref, _ = eval_mu_full(sys_, d)
-            fast, steps = ev.eval_full(d)
-            assert fast == ref
-            assert steps <= flat_m * d.n
+        flat = flatten_mu(sys_)
+        for d in digraphs:
+            ref = graphs.Digraph(1, 1, d.labels,
+                                 frozenset(e for e in d.edges if e[0] == 1))
+            want, want_steps = eval_mu_full(flat, ref)
+            vals, steps = ev.eval_full(d)
+            assert vals == {x: want[x] for x in sys_.variables}
+            assert vals == eval_mu_full(sys_, ref)[0]
+            assert steps == want_steps <= len(flat.variables) * d.n
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +320,11 @@ def test_parse_fo_and_quantifiers():
     assert f == ExistsNode("x", ExistsNode("y", RelAtom(1, ("x", "y"))))
     f2 = parse_formula("(forall-set X (imp (in X) (top)))")
     assert isinstance(f2, ForallSet)
+
+
+def test_variable_named_like_a_label_constant_is_refused():
+    with pytest.raises(KernelViolation, match="'P1'"):
+        parse_mu("(mu ((P1 (bdia 1 (in P1)))))")
+    with pytest.raises(KernelViolation, match="'P3'"):
+        MuSystem(1, ("X1", "P3"), (In("P3"), Top()))
+    assert parse_mu("(mu ((Q1 (bdia 1 (in Q1)))))").variables == ("Q1",)

@@ -1,11 +1,13 @@
 import gc
+import re
 import weakref
 
 import pytest
 
 from disto import graphs, zoo
 from disto.alternating import decide_acceptance_alt
-from disto.automata import sync_run
+from disto.automata import ForgetfulAutomaton, forgetful_run, sync_run
+from disto.formulas import MuEvaluator
 from disto.graphs import (Digraph, OracleBoundError, canonical_form, dipath,
                           enumerate_digraphs, enumerate_ordered_ditrees,
                           enumerate_rooted_ditrees, grid, is_dipath,
@@ -149,8 +151,10 @@ def test_json_roundtrip_and_field_order():
 
 def test_adjacency_does_not_keep_digraphs_alive():
     a = zoo.reachability_automaton()
+    ev = MuEvaluator(zoo.reachability_mu_system())
     d = make(1, 1, ["1", "0", "0"], [(1, 0, 1), (1, 1, 2)])
     sync_run(a, d)
+    assert ev.eval(d) == zoo.reachability_oracle(d) == {0, 1, 2}
     assert d.in_neighbors(1, 2) == (1,) and d.out_neighbors(1, 0) == (1,)
     ref = weakref.ref(d)
     del d
@@ -191,3 +195,32 @@ def test_equal_digraphs_build_their_own_adjacency():
     assert d2.in_neighbors(1, 1) == (0,)
     assert vars(d1)["_in"] is not vars(d2)["_in"]
     assert repr(d1) == repr(d2)
+
+
+@pytest.mark.parametrize("edge", [(1, -1, 0), (1, 0, -2), (1, 2, 0),
+                                  (1, 0, 5)])
+def test_dangling_endpoints_are_refused(edge):
+    def two_nodes(bits):
+        return Digraph(bits, 1, ("0" * bits,) * 2, frozenset({edge}))
+
+    d0, d1 = two_nodes(0), two_nodes(1)
+    fa = ForgetfulAutomaton(states=("a",), rels=1, initial="a",
+                            deltas={"": lambda nvec: "a"},
+                            accepting=frozenset())
+    uses = [lambda: d0.in_neighbors(1, 0), lambda: d0.out_neighbors(1, 0),
+            lambda: sync_run(zoo.reachability_automaton(), d1),
+            lambda: forgetful_run(fa, d0),
+            lambda: decide_acceptance_alt(zoo.three_col_aldag(), d0),
+            lambda: MuEvaluator(zoo.reachability_mu_system()).eval(d1)]
+    message = "dangling endpoint in edge ({},{},{})".format(*edge)
+    for use in uses:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            use()
+    assert validate(d0) == message
+
+
+def test_subsets_by_size_then_combination_order():
+    assert list(graphs.subsets("abc")) == [
+        frozenset(), *map(frozenset, ["a", "b", "c", "ab", "ac", "bc",
+                                      "abc"])]
+    assert list(graphs.subsets([])) == [frozenset()]
