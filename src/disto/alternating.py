@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import formulas as fm
-from .automata import Guard, _in_slots, _Interned, all_nvecs
+from .automata import (NVec, RuleDelta, UnmatchedTransition, _in_slots,
+                       _Interned, _rule_from_json, _rule_json, all_nvecs)
 from .graphs import Digraph, enumerate_digraphs
 
 GAME_SUCCESSOR_CAP = 200_000
@@ -33,9 +34,6 @@ class AltError(Exception):
 
 class MixedConfiguration(AltError):
     pass
-
-
-NVec = tuple[frozenset, ...]
 
 
 class AcceptingSets:
@@ -94,7 +92,10 @@ class AltAutomaton:
         key = (q, nvec)
         out = self._memo.get(key)
         if out is None:
-            out = frozenset(self.delta(q, nvec))
+            try:
+                out = frozenset(self.delta(q, nvec))
+            except UnmatchedTransition as e:
+                raise AltError(str(e)) from None
             if not out:
                 raise AltError(f"empty transition value at state {q!r}")
             extra = out - self._declared
@@ -949,38 +950,24 @@ def nldag_emptiness(a: AltAutomaton, mode: str = "capped",
 #        "accepting_sets":[[states]]}
 
 def to_json_dict(a: AltAutomaton) -> dict:
-    rules = getattr(a, "_json_rules", None)
-    if rules is None or not isinstance(a.accepting, ExplicitSets):
+    if (not isinstance(a.delta, RuleDelta)
+            or not isinstance(a.accepting, ExplicitSets)):
         raise AltError("only rule-based alternating automata have a JSON form")
     return {
         "states": [{"name": q, "kind": a.kind[q]} for q in a.states],
         "relations": a.rels,
         "init": dict(sorted(a.init.items())),
-        "rules": rules,
+        "rules": [{"from": r.src, **_rule_json(r)} for r in a.delta.rules],
         "accepting_sets": sorted(sorted(s) for s in a.accepting.sets),
     }
 
 
 def from_json_dict(obj: dict) -> AltAutomaton:
-    names = tuple(s["name"] for s in obj["states"])
-    kind = {s["name"]: s["kind"] for s in obj["states"]}
-    rules = obj["rules"]
-    parsed = [
-        (r["from"],
-         tuple(Guard(g["rel"], g["op"], frozenset(g.get("set", ())))
-               for g in r.get("guards", ())),
-         frozenset(r["to"]))
-        for r in rules
-    ]
-
-    def delta(q, nvec: NVec):
-        for (src, guards, targets) in parsed:
-            if src == q and all(g.holds(nvec) for g in guards):
-                return targets
-        raise AltError(f"no rule matches state {q!r}")
-
-    acc = explicit(*[frozenset(s) for s in obj["accepting_sets"]])
-    a = AltAutomaton(states=names, kind=kind, rels=obj["relations"],
-                     init=dict(obj["init"]), delta=delta, accepting=acc)
-    a._json_rules = rules
-    return a
+    rels = obj["relations"]
+    return AltAutomaton(
+        states=tuple(s["name"] for s in obj["states"]),
+        kind={s["name"]: s["kind"] for s in obj["states"]},
+        rels=rels, init=dict(obj["init"]),
+        delta=RuleDelta(_rule_from_json(r, r["from"], rels)
+                        for r in obj["rules"]),
+        accepting=explicit(*[frozenset(s) for s in obj["accepting_sets"]]))

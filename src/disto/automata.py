@@ -51,6 +51,8 @@ class Guard:
     def __post_init__(self):
         if self.op not in _GUARD_OPS:
             raise ValueError(f"unknown guard op {self.op!r}")
+        if not (isinstance(self.rel, int) and self.rel >= 1):
+            raise ValueError(f"guard relation index {self.rel!r} is not >= 1")
 
     def holds(self, nvec: NVec) -> bool:
         received = nvec[self.rel - 1]
@@ -65,16 +67,13 @@ class Guard:
 
 @dataclass(frozen=True)
 class Rule:
-    src: str
+    src: str         # a state, or a forgetful automaton's letter
     guards: tuple[Guard, ...]
-    dst: str
-
-    def matches(self, q: str, nvec: NVec) -> bool:
-        return q == self.src and all(g.holds(nvec) for g in self.guards)
+    dst: object      # a state, or an alternating rule's list of targets
 
 
 class RuleDelta:
-    """Ordered guarded rules with first-match-wins resolution."""
+    """Ordered guarded rules indexed by source; the first match wins."""
 
     def __init__(self, rules: Sequence[Rule]):
         self.rules = tuple(rules)
@@ -82,11 +81,11 @@ class RuleDelta:
         for r in self.rules:
             self._by_src.setdefault(r.src, []).append(r)
 
-    def __call__(self, q: str, nvec: NVec) -> str:
-        for rule in self._by_src.get(q, ()):
-            if rule.matches(q, nvec):
+    def __call__(self, src: str, nvec: NVec):
+        for rule in self._by_src.get(src, ()):
+            if all(g.holds(nvec) for g in rule.guards):
                 return rule.dst
-        raise UnmatchedTransition(f"no rule matches state {q!r} with {nvec}")
+        raise UnmatchedTransition(f"no rule matches {src!r} with {nvec}")
 
 
 @dataclass
@@ -201,11 +200,13 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
     """The round loop of synchronous runs (``letters`` None: slot 0 holds
     a node's current state) and forgetful runs (slot 0 holds its letter).
     A key missing from the memo is decoded and passed to ``a.step``; ``a``
-    needs nothing else but a ``__dict__`` for the memo, so states may be
-    any hashable values (``formulas.MuEvaluator`` runs on frozensets)."""
-    ix = a.__dict__.get("_round_ids")
-    if ix is None or ix.rels != d.rels:
-        ix = a.__dict__["_round_ids"] = _Interned(d.rels)
+    needs nothing else but a ``__dict__`` for its tables (one per relation
+    count), so states may be any hashable values (``formulas.MuEvaluator``
+    runs on frozensets)."""
+    tables = a.__dict__.setdefault("_round_ids", {})
+    ix = tables.get(d.rels)
+    if ix is None:
+        ix = tables[d.rels] = _Interned(d.rels)
     memo, bits = ix.memo, ix.bits
     own = letters is None
     base = [0] * d.n if own else [bits[ix.intern(x)][0] for x in letters]
@@ -391,50 +392,34 @@ class ForgetfulAutomaton:
     states: tuple[str, ...]
     rels: int
     initial: str
-    deltas: dict[str, Callable[[NVec], str]]  # letter (label bitstring) -> fn
+    letters: tuple[str, ...]              # label bitstrings, sorted
+    delta: Callable[[str, NVec], str]     # (letter, neighbourhood) -> state
     accepting: frozenset[str]
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        self.letters = tuple(sorted(self.letters))
         self.accepting = frozenset(self.accepting)
+        self._declared = frozenset(self.states)
 
     def step(self, letter: str, nvec: NVec) -> str:
         key = (letter, nvec)
         out = self._memo.get(key)
         if out is None:
-            try:
-                fn = self.deltas[letter]
-            except KeyError:
-                raise InitializationError(f"no transition table for letter {letter!r}")
-            out = fn(nvec)
+            if letter not in self.letters:
+                raise InitializationError(
+                    f"no transition table for letter {letter!r}")
+            out = self.delta(letter, nvec)
+            if out not in self._declared:
+                raise UnmatchedTransition(f"delta produced unknown state {out!r}")
             self._memo[key] = out
         return out
-
-    def letters(self) -> tuple[str, ...]:
-        return tuple(sorted(self.deltas))
-
-    def to_distributed(self) -> DistributedAutomaton:
-        """Label-in-state embedding with identical acceptance behavior."""
-        states = tuple(f"{q}@{a}" for q in self.states for a in self.letters())
-        fa = self
-
-        def delta(q, nvec):
-            base, letter = q.rsplit("@", 1)
-            stripped = tuple(frozenset(s.rsplit("@", 1)[0] for s in ns)
-                             for ns in nvec)
-            return f"{fa.step(letter, stripped)}@{letter}"
-
-        init = {a: f"{self.initial}@{a}" for a in self.letters()}
-        acc = frozenset(f"{q}@{a}" for q in self.accepting for a in self.letters())
-        return DistributedAutomaton(states=states, rels=self.rels, init=init,
-                                    accepting=acc, delta=delta)
 
 
 def forgetful_run(a: ForgetfulAutomaton, d: Digraph,
                   horizon="auto", cap: int = DEFAULT_HORIZON_CAP) -> RunResult:
-    for v in d.nodes():
-        if d.label(v) not in a.deltas:
-            raise InitializationError(f"no transition table for letter {d.label(v)!r}")
+    if a.rels != d.rels:
+        raise ValueError(f"automaton has {a.rels} relations, digraph {d.rels}")
     return _run_rounds(a, d, [a.initial] * d.n, d.labels, horizon, cap)
 
 
@@ -447,6 +432,8 @@ def decide_acceptance_forgetful(a: ForgetfulAutomaton, pd: PointedDigraph) -> bo
 # JSON format:
 # {"states":[...],"relations":r,"init":{label:state},"accepting":[...],
 #  "rules":[{"from":q,"guards":[{"rel":i,"op":..,"set":[...]}],"to":q'}]}
+# Forgetful automata have "initial":q and "delta":{letter:[rule rows
+# without "from"]} in place of "init" and "rules".
 
 def to_json_dict(a: DistributedAutomaton) -> dict:
     delta = a.delta
@@ -467,29 +454,32 @@ def _rule_json(r: Rule) -> dict:
             "to": r.dst}
 
 
-def _rule_from_json(row: dict, src: str = "") -> Rule:
-    return Rule(src, tuple(Guard(g["rel"], g["op"], frozenset(g.get("set", ())))
+def _rule_from_json(row: dict, src: str, rels: int) -> Rule:
+    rule = Rule(src, tuple(Guard(g["rel"], g["op"], frozenset(g.get("set", ())))
                            for g in row.get("guards", ())), row["to"])
+    if any(g.rel > rels for g in rule.guards):
+        raise ValueError(f"rule {row} reads a relation above {rels}")
+    return rule
 
 
 def from_json_dict(obj: dict) -> DistributedAutomaton:
-    rules = [_rule_from_json(r, r["from"]) for r in obj["rules"]]
+    rels = obj["relations"]
     return DistributedAutomaton(
         states=tuple(obj["states"]),
-        rels=obj["relations"],
+        rels=rels,
         init=dict(obj["init"]),
         accepting=frozenset(obj["accepting"]),
-        delta=RuleDelta(rules),
+        delta=RuleDelta(_rule_from_json(r, r["from"], rels)
+                        for r in obj["rules"]),
     )
 
 
 def forgetful_to_json_dict(a: ForgetfulAutomaton) -> dict:
-    tables = {}
-    for letter in a.letters():
-        fn = a.deltas[letter]
-        if not isinstance(fn, RuleDelta1):
-            raise ValueError("only rule-based forgetful automata have a JSON form")
-        tables[letter] = [_rule_json(r) for r in fn.rules]
+    if not isinstance(a.delta, RuleDelta):
+        raise ValueError("only rule-based forgetful automata have a JSON form")
+    tables = {letter: [] for letter in a.letters}
+    for r in a.delta.rules:
+        tables[r.src].append(_rule_json(r))
     return {
         "states": list(a.states),
         "relations": a.rels,
@@ -499,26 +489,15 @@ def forgetful_to_json_dict(a: ForgetfulAutomaton) -> dict:
     }
 
 
-class RuleDelta1:
-    """Per-letter guarded rules for forgetful automata (no source state)."""
-
-    def __init__(self, rules: Sequence[Rule]):
-        self.rules = tuple(rules)
-
-    def __call__(self, nvec: NVec) -> str:
-        for rule in self.rules:
-            if all(g.holds(nvec) for g in rule.guards):
-                return rule.dst
-        raise UnmatchedTransition(f"no rule matches neighborhood {nvec}")
-
-
 def forgetful_from_json_dict(obj: dict) -> ForgetfulAutomaton:
-    deltas = {letter: RuleDelta1([_rule_from_json(row) for row in rows])
-              for letter, rows in obj["delta"].items()}
+    rels = obj["relations"]
     return ForgetfulAutomaton(
         states=tuple(obj["states"]),
-        rels=obj["relations"],
+        rels=rels,
         initial=obj["initial"],
-        deltas=deltas,
+        letters=tuple(obj["delta"]),
+        delta=RuleDelta(_rule_from_json(row, letter, rels)
+                        for letter, rows in obj["delta"].items()
+                        for row in rows),
         accepting=frozenset(obj["accepting"]),
     )

@@ -228,7 +228,7 @@ def cmd_dfa2fda(args):
     dfa = reductions.dfa_from_json_dict(_load_json(args.dfa))
     fda = reductions.dfa_to_fda(dfa)
     return "converted", {"states": len(fda.states),
-                         "letters": list(fda.letters())}
+                         "letters": list(fda.letters)}
 
 
 def cmd_fda2dfa(args):

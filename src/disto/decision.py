@@ -44,7 +44,7 @@ def _step_sets(a: ForgetfulAutomaton, current: frozenset):
     plus one generating (letter, neighborhood) pair per new state."""
     out: dict[str, tuple] = {}
     nvecs = list(all_nvecs(sorted(current), a.rels))
-    for letter in a.letters():
+    for letter in a.letters:
         for nvec in nvecs:
             q = a.step(letter, nvec)
             key = (letter, tuple(tuple(sorted(s)) for s in nvec))
@@ -74,13 +74,10 @@ class EmptinessVerdict:
 
 
 def forgetful_emptiness(a: ForgetfulAutomaton) -> EmptinessVerdict:
-    """Exact emptiness: iterate delta-hat for at most 2^|Q| steps and watch
-    for an accepting state (time 0 included: the initial state counts)."""
-    if a.initial in a.accepting:
-        return EmptinessVerdict(False, 0, a.initial)
-    current = frozenset({a.initial})
-    for t in range(1, 2 ** len(a.states) + 1):
-        current, _ = _step_sets(a, current)
+    """Exact emptiness: the first set of the Sigma lasso that meets the
+    accepting states gives the earliest time and its least accepting state
+    (time 0 included: the initial state counts)."""
+    for t, current in enumerate(reachable_state_sets(a).sets):
         hit = sorted(current & a.accepting)
         if hit:
             return EmptinessVerdict(False, t, hit[0])
@@ -99,17 +96,17 @@ def forgetful_witness(a: ForgetfulAutomaton, t: int, q: str) -> PointedDigraph:
     if t == 0:
         if q != a.initial:
             raise WitnessError(f"{q!r} is not reachable at time 0")
-        letter = a.letters()[0]
+        letter = a.letters[0]
         return make(len(letter), a.rels, [letter], [], point=0)
     if q not in generators[t]:
         raise WitnessError(f"{q!r} is not reachable at time {t}")
 
-    bits = len(a.letters()[0])
+    bits = len(a.letters[0])
 
     def build(time: int, state: str):
         """Returns (labels, edges, point) with local ids."""
         if time == 0:
-            letter = a.letters()[0]
+            letter = a.letters[0]
             return [letter], [], 0
         letter, nvec = generators[time][state]
         labels: list[str] = []
@@ -149,7 +146,7 @@ def bounded_ditree_search(a: DistributedAutomaton | ForgetfulAutomaton,
     if a.rels != 1:
         raise ValueError("ditree search supports 1-relational automata")
     if isinstance(a, ForgetfulAutomaton):
-        bits = len(a.letters()[0])
+        bits = len(a.letters[0])
         decide = decide_acceptance_forgetful
     else:
         bits = len(next(iter(a.init)))

@@ -542,15 +542,21 @@ def mu_operator(system: MuSystem, d: Digraph,
     }
 
 
+def _check_mu_digraph(system: MuSystem, d: Digraph) -> None:
+    if system.bits != d.bits:
+        raise ValueError(f"system has {system.bits} label bits, "
+                         f"digraph has {d.bits}")
+    if d.rels < 1:
+        raise ValueError("mu bodies read relation 1; digraph has none")
+
+
 def eval_mu_full(system: MuSystem, d: Digraph):
     """Iterate approximants from the empty tuple to the least fixpoint.
 
     Returns (valuation, steps) where steps is the index of the first
     fixpoint in the approximant sequence (bounded by m * node_count).
     """
-    if system.bits != d.bits:
-        raise ValueError(f"system has {system.bits} label bits, "
-                         f"digraph has {d.bits}")
+    _check_mu_digraph(system, d)
     vals = {name: frozenset() for name in system.variables}
     steps = 0
     while True:
@@ -670,8 +676,7 @@ class MuEvaluator:
     def eval_full(self, d: Digraph):
         """Valuation of the original variables plus the iteration count of
         the flattened system."""
-        if self.system.bits != d.bits:
-            raise ValueError("label width mismatch")
+        _check_mu_digraph(self.system, d)
         initial = [frozenset(f"P{i}" for i, b in enumerate(lab, 1) if b == "1")
                    for lab in d.labels]
         run = _run_rounds(self, d, initial, None, "auto", DEFAULT_HORIZON_CAP)

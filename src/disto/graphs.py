@@ -331,13 +331,6 @@ def enumerate_digraphs(max_nodes: int, bits: int = 0, rels: int = 1,
                 yield Digraph(bits, rels, tuple(labels), edges)
 
 
-def enumerate_pointed(max_nodes: int, bits: int = 0, rels: int = 1,
-                      **kw) -> Iterator[PointedDigraph]:
-    for d in enumerate_digraphs(max_nodes, bits, rels, **kw):
-        for v in d.nodes():
-            yield d.at(v)
-
-
 def _encode(d: Digraph, perm: Sequence[int]) -> tuple:
     labels = tuple(d.labels[perm[v]] for v in range(d.n))
     inv = [0] * d.n

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automata import DistributedAutomaton, classify, state_diagram
+from .automata import DistributedAutomaton, _has_nontrivial_cycle, state_diagram
 from .formulas import (And, BBox, BDia, Bot, In, MuSystem, Not, Or, Top,
                        _pair_holds, flatten_mu)
 from .graphs import subsets
@@ -70,11 +70,15 @@ def compile_mu_to_aqda(system: MuSystem) -> DistributedAutomaton:
 # ---------------------------------------------------------------------------
 # Traces and the enables relation
 
-def _require_quasi_acyclic(a: DistributedAutomaton) -> None:
+def _require_quasi_acyclic(a: DistributedAutomaton) -> dict[str, set[str]]:
+    """The successor map, from one state diagram, of a quasi-acyclic
+    automaton; refuses any other."""
     if a.rels != 1:
         raise ClassError("trace machinery is defined over 1 relation")
-    if not classify(a).is_quasi_acyclic:
+    succ = successor_map(a)
+    if _has_nontrivial_cycle(succ):
         raise ClassError("automaton is not quasi-acyclic; trace set infinite")
+    return succ
 
 
 def successor_map(a: DistributedAutomaton) -> dict[str, set[str]]:
@@ -83,12 +87,14 @@ def successor_map(a: DistributedAutomaton) -> dict[str, set[str]]:
 
 
 def compute_traces(a: DistributedAutomaton,
-                   starts: Iterable[str] | None = None) -> Traces:
+                   starts: Iterable[str] | None = None,
+                   succ: dict[str, set[str]] | None = None) -> Traces:
     """All traces: nonempty state sequences with distinct adjacent entries,
     each step witnessed by some neighborhood.  ``starts`` restricts the
-    admissible first states (default: every state)."""
-    _require_quasi_acyclic(a)
-    succ = successor_map(a)
+    admissible first states (default: every state); ``succ`` is the
+    automaton's successor map, if the caller already has it."""
+    if succ is None:
+        succ = _require_quasi_acyclic(a)
     out: set[tuple[str, ...]] = set()
 
     def extend(trace: tuple[str, ...]):
@@ -150,10 +156,9 @@ def compute_enables(a: DistributedAutomaton,
     identically-false disjunct; decompilation semantics is unchanged while
     the history space shrinks from 2^|T| to 2^|live T|.
     """
-    _require_quasi_acyclic(a)
+    succ = _require_quasi_acyclic(a)
     starts = frozenset(a.init.values()) if restrict_to_initial else None
-    traces = compute_traces(a, starts)
-    succ = successor_map(a)
+    traces = compute_traces(a, starts, succ)
     start_states = sorted(starts) if starts is not None else list(a.states)
 
     # bitmask encoding of traces and histories

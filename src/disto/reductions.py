@@ -78,22 +78,19 @@ def dfa_to_fda(b: Dfa) -> ForgetfulAutomaton:
     states = (WAIT,) + b.states
     dfa_states = set(b.states)
 
-    def make_delta(letter: str):
-        def fn(nvec):
-            received = nvec[0]
-            if not received:
-                return b.delta[(b.initial, letter)]
-            if len(received) == 1:
-                (q,) = received
-                if q in dfa_states:
-                    return b.delta[(q, letter)]
-            return WAIT
-        return fn
+    def delta(letter: str, nvec):
+        received = nvec[0]
+        if not received:
+            return b.delta[(b.initial, letter)]
+        if len(received) == 1:
+            (q,) = received
+            if q in dfa_states:
+                return b.delta[(q, letter)]
+        return WAIT
 
     return ForgetfulAutomaton(
-        states=states, rels=1, initial=WAIT,
-        deltas={letter: make_delta(letter) for letter in b.letters()},
-        accepting=frozenset(b.accepting))
+        states=states, rels=1, initial=WAIT, letters=b.letters(),
+        delta=delta, accepting=frozenset(b.accepting))
 
 
 def fda_to_dfa(a: ForgetfulAutomaton) -> Dfa:
@@ -102,7 +99,7 @@ def fda_to_dfa(a: ForgetfulAutomaton) -> Dfa:
     i-th node."""
     if a.rels != 1:
         raise ValueError("the word bridge needs a 1-relational automaton")
-    letters = a.letters()
+    letters = a.letters
     sets = list(subsets(sorted(a.states)))
     name = {s: "{" + ",".join(sorted(s)) + "}" for s in sets}
     delta = {}
@@ -124,30 +121,27 @@ def treeautomaton_to_fda(t: TreeAutomaton) -> ForgetfulAutomaton:
     states = (WAIT,) + t.states
     ta_states = set(t.states)
 
-    def make_delta(letter: str):
-        def fn(nvec):
-            children = []
-            for k, received in enumerate(nvec):
-                if not received:
-                    if any(nvec[j] for j in range(k + 1, len(nvec))):
-                        return WAIT
-                    break
-                if len(received) != 1:
+    def delta(letter: str, nvec):
+        children = []
+        for k, received in enumerate(nvec):
+            if not received:
+                if any(nvec[j] for j in range(k + 1, len(nvec))):
                     return WAIT
-                (q,) = received
-                if q not in ta_states:
-                    return WAIT
-                children.append(q)
-            key = (tuple(children), letter)
-            if key not in t.delta:
+                break
+            if len(received) != 1:
                 return WAIT
-            return t.delta[key]
-        return fn
+            (q,) = received
+            if q not in ta_states:
+                return WAIT
+            children.append(q)
+        key = (tuple(children), letter)
+        if key not in t.delta:
+            return WAIT
+        return t.delta[key]
 
     return ForgetfulAutomaton(
-        states=states, rels=t.arity, initial=WAIT,
-        deltas={letter: make_delta(letter) for letter in t.letters()},
-        accepting=frozenset(t.accepting))
+        states=states, rels=t.arity, initial=WAIT, letters=t.letters(),
+        delta=delta, accepting=frozenset(t.accepting))
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def synchrony_detector_graph() -> Digraph:
 def balanced_tree_fda() -> ForgetfulAutomaton:
     """Three-state forgetful automaton on unlabeled binary ordered ditrees
     accepting at the root iff the tree is NOT perfectly balanced."""
-    def delta(nvec):
+    def delta(letter, nvec):
         n1, n2 = nvec
         if n1 == n2 == frozenset({"w"}):
             return "w"
@@ -120,7 +120,7 @@ def balanced_tree_fda() -> ForgetfulAutomaton:
 
     return ForgetfulAutomaton(
         states=("w", "f", "acc"), rels=2, initial="w",
-        deltas={"": delta}, accepting=frozenset({"acc"}))
+        letters=("",), delta=delta, accepting=frozenset({"acc"}))
 
 
 def is_perfectly_balanced(pd) -> bool:

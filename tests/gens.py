@@ -77,25 +77,19 @@ def random_dfa(rng: random.Random, max_states: int = 4,
                accepting=accepting)
 
 
-def _table_fn(table: dict):
-    def fn(nvec):
-        return table[nvec[0]]
-    return fn
-
-
 def random_fda(rng: random.Random, max_states: int = 3,
                letters=("0", "1")) -> ForgetfulAutomaton:
     n = rng.randint(1, max_states)
     states = tuple(f"q{i}" for i in range(n))
     subsets = [frozenset(c) for k in range(n + 1)
                for c in itertools.combinations(states, k)]
-    deltas = {}
-    for letter in letters:
-        table = {s: rng.choice(states) for s in subsets}
-        deltas[letter] = _table_fn(table)
+    table = {(letter, s): rng.choice(states)
+             for letter in letters for s in subsets}
     accepting = frozenset(q for q in states if rng.random() < 0.4)
     return ForgetfulAutomaton(states=states, rels=1, initial=states[0],
-                              deltas=deltas, accepting=accepting)
+                              letters=letters,
+                              delta=lambda x, nvec: table[(x, nvec[0])],
+                              accepting=accepting)
 
 
 def random_tree_automaton(rng: random.Random, max_states: int = 3,

@@ -4,11 +4,12 @@ import zlib
 
 import pytest
 
+from disto import alternating as alt
 from disto import automata, zoo
 from disto.automata import (AutomatonClass, DistributedAutomaton,
                             ForgetfulAutomaton, Guard, HorizonExceeded,
-                            InitializationError, Rule, RuleDelta, RuleDelta1,
-                            UnmatchedTransition, classify,
+                            InitializationError, Rule, RuleDelta,
+                            UnmatchedTransition, all_nvecs, classify,
                             decide_acceptance_sync, forgetful_run,
                             monovisioned_transform, state_diagram, sync_run)
 from disto.graphs import Digraph, dipath, make
@@ -211,6 +212,115 @@ def test_json_roundtrip():
     assert sync_run(a, d).configs == sync_run(back, d).configs
 
 
+ROUND_TRIP_RULES = [
+    {"guards": [{"rel": 1, "op": "subseteq", "set": ["a"]},
+                {"rel": 2, "op": "supseteq", "set": ["a", "b"]}], "to": "b"},
+    {"guards": [{"rel": 2, "op": "eq", "set": []}], "to": "a"},
+    {"guards": [{"rel": 1, "op": "any", "set": []}], "to": "a"},
+]
+ROUND_TRIPS = [
+    (automata.from_json_dict, automata.to_json_dict, {
+        "states": ["a", "b"], "relations": 2, "init": {"0": "a", "1": "b"},
+        "accepting": ["b"],
+        "rules": [{"from": q, **row} for q in "ab"
+                  for row in ROUND_TRIP_RULES]}),
+    (automata.forgetful_from_json_dict, automata.forgetful_to_json_dict, {
+        "states": ["a", "b"], "relations": 2, "initial": "a",
+        "accepting": ["b"],
+        "delta": {"0": ROUND_TRIP_RULES, "1": ROUND_TRIP_RULES[1:]}}),
+    (alt.from_json_dict, alt.to_json_dict, {
+        "states": [{"name": "a", "kind": "E"}, {"name": "b", "kind": "P"}],
+        "relations": 2, "init": {"0": "a", "1": "b"},
+        "rules": [{"from": q, **row, "to": ["a", "b"][:i + 1]}
+                  for q in "ab" for i, row in enumerate(ROUND_TRIP_RULES)],
+        "accepting_sets": [["a"], ["a", "b"]]}),
+]
+
+
+@pytest.mark.parametrize("load,write,obj", ROUND_TRIPS)
+def test_json_round_trip_of_each_kind(load, write, obj):
+    assert write(load(obj)) == obj
+
+
+def _holds(guard, nvec):
+    received, want = nvec[guard["rel"] - 1], set(guard["set"])
+    return {"subseteq": received <= want, "supseteq": received >= want,
+            "eq": received == want, "any": True}[guard["op"]]
+
+
+def _first_match(rows, nvec):
+    """The plain reading of a rule list: the first row whose guards hold."""
+    for row in rows:
+        if all(_holds(g, nvec) for g in row["guards"]):
+            return row["to"]
+    return None
+
+
+def _random_rule_file(rng, kind):
+    """A rule file over 1-2 relations and 1-4 states; about half of the
+    sources have no catch-all row, so some neighbourhoods match nothing."""
+    rels = rng.randint(1, 2)
+    states = [f"q{i}" for i in range(rng.randint(1, 4))]
+
+    def subset(least):
+        return sorted(rng.sample(states, rng.randint(least, len(states))))
+
+    def target():
+        return subset(1) if kind == "alternating" else rng.choice(states)
+
+    def rows():
+        out = [{"guards": [{"rel": rng.randint(1, rels),
+                            "op": rng.choice(("subseteq", "supseteq", "eq",
+                                              "any")),
+                            "set": subset(0)}
+                           for _ in range(rng.randint(1, 2))],
+                "to": target()} for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.5:
+            out.append({"guards": [], "to": target()})
+        return out
+
+    if kind == "forgetful":
+        return {"states": states, "relations": rels, "initial": states[0],
+                "accepting": states[:1],
+                "delta": {x: rows() for x in ("0", "1")}}
+    rules = [{"from": q, **row} for q in states for row in rows()]
+    if kind == "distributed":
+        return {"states": states, "relations": rels, "init": {"0": states[0]},
+                "accepting": states[:1], "rules": rules}
+    kinds = [rng.choice("EUP") for _ in states[1:]] + ["P"]
+    return {"states": [{"name": q, "kind": k} for q, k in zip(states, kinds)],
+            "relations": rels, "init": {"0": states[0]}, "rules": rules,
+            "accepting_sets": [states[:1]]}
+
+
+@pytest.mark.parametrize("kind", ["distributed", "forgetful", "alternating"])
+def test_rule_table_matches_a_plain_first_match_loop(kind):
+    rng = random.Random(f"rule-table-{kind}")
+    for _ in range(40):
+        obj = _random_rule_file(rng, kind)
+        if kind == "forgetful":
+            a = automata.forgetful_from_json_dict(obj)
+            tables = obj["delta"]
+        else:
+            load = (automata.from_json_dict if kind == "distributed"
+                    else alt.from_json_dict)
+            a = load(obj)
+            tables = {q: [r for r in obj["rules"] if r["from"] == q]
+                      for q in a.states}
+        unmatched = alt.AltError if kind == "alternating" else \
+            UnmatchedTransition
+        for src, rows in tables.items():
+            for nvec in all_nvecs(a.states, a.rels):
+                want = _first_match(rows, nvec)
+                if want is None:
+                    with pytest.raises(unmatched):
+                        a.step(src, nvec)
+                elif kind == "alternating":
+                    assert a.step(src, nvec) == frozenset(want)
+                else:
+                    assert a.step(src, nvec) == want
+
+
 def test_rule_order_first_match_wins():
     rules = [Rule("a", (Guard(1, "subseteq", frozenset({"a"})),), "b"),
              Rule("a", (Guard(1, "any", frozenset()),), "c"),
@@ -295,8 +405,8 @@ def random_forgetful_automaton(rng, rels, bits):
     letters = ["".join(c) for c in itertools.product("01", repeat=bits)]
     return ForgetfulAutomaton(
         states=states, rels=rels, initial=rng.choice(states),
-        deltas={x: (lambda nvec, x=x: _pick(states, salt, x, *nvec))
-                for x in letters},
+        letters=letters,
+        delta=lambda x, nvec: _pick(states, salt, x, *nvec),
         accepting=frozenset(q for q in states if rng.random() < 0.5))
 
 
@@ -320,7 +430,7 @@ def test_interned_runs_match_reference_loop(rels, bits):
                 return sa.delta(conf[v], nvec)
 
             def forgetful_next(conf, v, nvec):
-                return fa.deltas[d.label(v)](nvec)
+                return fa.delta(d.label(v), nvec)
 
             cases = [(sa, sync_run, sync_initial, sync_next),
                      (fa, forgetful_run, [fa.initial] * d.n, forgetful_next)]
@@ -356,8 +466,8 @@ def test_partial_rule_delta_raises_unmatched_transition():
 def test_partial_forgetful_rules_raise_unmatched_transition():
     fa = ForgetfulAutomaton(
         states=("a", "b"), rels=1, initial="a",
-        deltas={"": RuleDelta1([Rule("", (Guard(1, "eq", frozenset()),),
-                                     "b")])},
+        letters=("",),
+        delta=RuleDelta([Rule("", (Guard(1, "eq", frozenset()),), "b")]),
         accepting=frozenset())
     assert forgetful_run(fa, make(0, 1, [""], [])).configs == (("a",), ("b",))
     with pytest.raises(UnmatchedTransition):
@@ -374,10 +484,24 @@ def test_delta_to_undeclared_state_raises():
 
 def test_missing_letter_raises_in_forgetful_run():
     fa = ForgetfulAutomaton(states=("a",), rels=1, initial="a",
-                            deltas={"0": lambda nvec: "a"},
+                            letters=("0",), delta=lambda x, nvec: "a",
                             accepting=frozenset())
     with pytest.raises(InitializationError):
         forgetful_run(fa, make(1, 1, ["0", "1"], []))
+
+
+def test_forgetful_target_outside_its_states_raises():
+    fa = automata.forgetful_from_json_dict({
+        "states": ["q"], "relations": 1, "initial": "q", "accepting": [],
+        "delta": {"": [{"guards": [], "to": "ghost"}]}})
+    with pytest.raises(UnmatchedTransition, match="ghost"):
+        forgetful_run(fa, make(0, 1, [""], []))
+
+
+def test_forgetful_run_refuses_a_relation_count_mismatch():
+    with pytest.raises(ValueError,
+                       match="automaton has 2 relations, digraph 1"):
+        forgetful_run(zoo.balanced_tree_fda(), dipath(3).digraph)
 
 
 def test_unknown_relation_index_is_refused():

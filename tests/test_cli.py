@@ -296,3 +296,46 @@ def test_fda2dfa_verb(capsys, tmp_path):
     from disto.reductions import dfa_from_json_dict
     dfa = dfa_from_json_dict(json.loads(out_path.read_text()))
     assert dfa.accepts(("0", "1"))
+
+
+@pytest.mark.parametrize("rel,rels,message", [
+    (0, 2, "guard relation index 0 is not >= 1"),
+    (3, 1, "reads a relation above 1")])
+def test_guard_relation_out_of_range_is_an_input_error(
+        capsys, tmp_path, rel, rels, message):
+    guards = [{"rel": rel, "op": "any", "set": []}]
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(graphs.to_json_dict(
+        graphs.make(0, rels, [""], [], point=0))))
+    files = {
+        "accept": {"states": ["q"], "relations": rels, "init": {"": "q"},
+                   "accepting": [],
+                   "rules": [{"from": "q", "guards": guards, "to": "q"}]},
+        "fda2dfa": {"states": ["q"], "relations": rels, "initial": "q",
+                    "accepting": [],
+                    "delta": {"": [{"guards": guards, "to": "q"}]}},
+        "alt-accept": {"states": [{"name": "q", "kind": "P"}],
+                       "relations": rels, "init": {"": "q"},
+                       "rules": [{"from": "q", "guards": guards,
+                                  "to": ["q"]}],
+                       "accepting_sets": [["q"]]},
+    }
+    f = tmp_path / "a.json"
+    for verb, obj in files.items():
+        f.write_text(json.dumps(obj))
+        extra = [] if verb == "fda2dfa" else [str(g)]
+        code, out = run_cli(capsys, verb, str(f), *extra)
+        assert code == 1 and out["verdict"] == "input-error"
+        text = out["details"]["message"]
+        assert text.startswith("ValueError: ") and message in text
+
+
+def test_fda2dfa_refuses_an_undeclared_target(capsys, tmp_path):
+    f = tmp_path / "fda.json"
+    f.write_text(json.dumps({
+        "states": ["q"], "relations": 1, "initial": "q", "accepting": [],
+        "delta": {"0": [{"guards": [], "to": "ghost"}]}}))
+    code, out = run_cli(capsys, "fda2dfa", str(f))
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"] == (
+        "UnmatchedTransition: delta produced unknown state 'ghost'")

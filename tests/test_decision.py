@@ -16,7 +16,8 @@ import gens
 def fda_const(accepting=()):
     return ForgetfulAutomaton(
         states=("q0", "q1"), rels=1, initial="q0",
-        deltas={"": lambda nvec: "q1"}, accepting=frozenset(accepting))
+        letters=("",), delta=lambda x, nvec: "q1",
+        accepting=frozenset(accepting))
 
 
 def test_initial_state_accepting_is_nonempty_at_zero():
@@ -31,7 +32,7 @@ def test_empty_accepting_set_is_empty():
 def two_neighbor_automaton():
     """Accepting state requires two distinct neighbor states at once,
     first reachable at time 2."""
-    def fn(nvec):
+    def fn(letter, nvec):
         received = nvec[0]
         if received == {"a", "b"}:
             return "win"
@@ -41,7 +42,7 @@ def two_neighbor_automaton():
 
     return ForgetfulAutomaton(
         states=("q0", "a", "b", "win"), rels=1, initial="q0",
-        deltas={"": fn}, accepting=frozenset({"win"}))
+        letters=("",), delta=fn, accepting=frozenset({"win"}))
 
 
 def test_two_neighbor_automaton_nonempty_at_two():
@@ -49,6 +50,26 @@ def test_two_neighbor_automaton_nonempty_at_two():
     v = forgetful_emptiness(a)
     assert not v.empty
     assert (v.time, v.state) == (2, "win")
+
+
+def test_emptiness_matches_a_plain_sigma_iteration():
+    """The verdict read off the Sigma lasso equals iterating delta-hat for
+    2^|Q| steps and stopping at the first accepting state."""
+    rng = random.Random(400)
+    for _ in range(400):
+        a = gens.random_fda(rng, max_states=5)
+        want, current = (True, None, None), frozenset({a.initial})
+        for t in range(2 ** len(a.states) + 1):
+            if t:
+                current = frozenset(
+                    a.step(x, (n,)) for x in a.letters
+                    for n in graphs.subsets(sorted(current)))
+            hit = sorted(current & a.accepting)
+            if hit:
+                want = (False, t, hit[0])
+                break
+        v = forgetful_emptiness(a)
+        assert (v.empty, v.time, v.state) == want
 
 
 def test_state_set_sequence_periodic():

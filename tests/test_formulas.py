@@ -238,6 +238,25 @@ def test_fast_evaluator_matches_reference(mu_corpus):
             assert steps == want_steps <= len(flat.variables) * d.n
 
 
+def test_mu_evaluation_refuses_a_digraph_without_relations():
+    sys_ = zoo.reachability_mu_system()
+    d = graphs.Digraph(1, 0, ("1",), frozenset())
+    with pytest.raises(ValueError, match="read relation 1") as fast:
+        MuEvaluator(sys_).eval_full(d)
+    with pytest.raises(ValueError, match="read relation 1") as oracle:
+        eval_mu_full(sys_, d)
+    assert str(fast.value) == str(oracle.value)
+
+
+def test_mu_evaluator_keeps_one_table_per_relation_count():
+    ev = MuEvaluator(zoo.reachability_mu_system())
+    rng = random.Random(5)
+    ev.eval(_digraph(rng, 4, 1))
+    one = ev._round_ids[1]
+    ev.eval(_digraph(rng, 4, 2))
+    assert ev._round_ids[1] is one and set(ev._round_ids) == {1, 2}
+
+
 # ---------------------------------------------------------------------------
 # standard translation
 

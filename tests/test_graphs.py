@@ -205,7 +205,7 @@ def test_dangling_endpoints_are_refused(edge):
 
     d0, d1 = two_nodes(0), two_nodes(1)
     fa = ForgetfulAutomaton(states=("a",), rels=1, initial="a",
-                            deltas={"": lambda nvec: "a"},
+                            letters=("",), delta=lambda x, nvec: "a",
                             accepting=frozenset())
     uses = [lambda: d0.in_neighbors(1, 0), lambda: d0.out_neighbors(1, 0),
             lambda: sync_run(zoo.reachability_automaton(), d1),

@@ -182,3 +182,16 @@ def test_decompile_requires_quasi_acyclic():
         accepting=frozenset(), delta=lambda q, n: "b" if q == "a" else "a")
     with pytest.raises(ClassError):
         decompile_qda_to_mu(swap)
+
+
+def test_decompile_builds_one_state_diagram(monkeypatch):
+    from disto import mucompile
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return automata.state_diagram(a)
+
+    monkeypatch.setattr(mucompile, "state_diagram", counting)
+    decompile_qda_to_mu(zoo.reachability_automaton())
+    assert len(calls) == 1

@@ -59,7 +59,7 @@ def test_even_ones_bridge_both_directions():
 def test_initial_accepting_fda_gives_total_dfa():
     fda = gens.random_fda(random.Random(7), max_states=3)
     fda = type(fda)(states=fda.states, rels=1, initial=fda.initial,
-                    deltas=fda.deltas,
+                    letters=fda.letters, delta=fda.delta,
                     accepting=frozenset({fda.initial}))
     back = fda_to_dfa(fda)
     for word in all_words(5):
@@ -88,7 +88,8 @@ def test_balanced_fda_on_dipaths_matches_its_dfa():
     # 1-relational wrapper
     uni = type(fda)(
         states=fda.states, rels=1, initial=fda.initial,
-        deltas={"": lambda nvec: fda.deltas[""]((nvec[0], frozenset()))},
+        letters=("",),
+        delta=lambda x, nvec: fda.delta(x, (nvec[0], frozenset())),
         accepting=fda.accepting)
     back = fda_to_dfa(uni)
     for n in range(1, 7):
