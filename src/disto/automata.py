@@ -88,6 +88,15 @@ class RuleDelta:
         raise UnmatchedTransition(f"no rule matches {src!r} with {nvec}")
 
 
+def _declare(a) -> None:
+    """Freeze ``a.accepting`` and refuse accepting states outside ``a.states``."""
+    a.accepting = frozenset(a.accepting)
+    a._declared = frozenset(a.states)
+    missing = a.accepting - a._declared
+    if missing:
+        raise ValueError(f"accepting states {missing} not in state set")
+
+
 @dataclass
 class DistributedAutomaton:
     """(states, init, delta, accepting) over l-bit labeled r-relational digraphs."""
@@ -101,11 +110,7 @@ class DistributedAutomaton:
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        self.accepting = frozenset(self.accepting)
-        self._declared = frozenset(self.states)
-        missing = self.accepting - self._declared
-        if missing:
-            raise ValueError(f"accepting states {missing} not in state set")
+        _declare(self)
 
     def step(self, q: str, nvec: NVec) -> str:
         key = (q, nvec)
@@ -399,8 +404,9 @@ class ForgetfulAutomaton:
 
     def __post_init__(self):
         self.letters = tuple(sorted(self.letters))
-        self.accepting = frozenset(self.accepting)
-        self._declared = frozenset(self.states)
+        _declare(self)
+        if self.initial not in self._declared:
+            raise ValueError(f"initial state {self.initial!r} not in state set")
 
     def step(self, letter: str, nvec: NVec) -> str:
         key = (letter, nvec)

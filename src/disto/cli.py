@@ -37,11 +37,14 @@ def report_format(verdict: str, details: dict | None = None) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"{path}: file not found")
     except json.JSONDecodeError as e:
         raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: top level is not a JSON object")
+    return obj
 
 
 def _load_graph(path: str):

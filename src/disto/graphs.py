@@ -296,11 +296,11 @@ def is_undirected(d: Digraph) -> bool:
 # ---------------------------------------------------------------------------
 # Enumeration (oracle substrate)
 
-def _all_edge_sets(n: int, rels: int) -> Iterator[frozenset[tuple[int, int, int]]]:
-    pairs = [(r, s, t) for r in range(1, rels + 1)
-             for s in range(n) for t in range(n)]
-    for mask in range(1 << len(pairs)):
-        yield frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+# Packed codes: one integer per digraph with n nodes.  Adjacency bit
+# (r, i, j) sits at (r-1)*n*n + i*n + j and label bit (v, b) at
+# rels*n*n + v*bits + b, so the edge mask counts up under the labels.
+
+CANDIDATE_LIMIT = 1 << 24   # candidate codes one augmentation step may hold
 
 
 def enumerate_digraphs(max_nodes: int, bits: int = 0, rels: int = 1,
@@ -308,9 +308,11 @@ def enumerate_digraphs(max_nodes: int, bits: int = 0, rels: int = 1,
                        safety_bound: int = ENUM_SAFETY_BOUND) -> Iterator[Digraph]:
     """Yield every digraph of the kind with at most ``max_nodes`` nodes.
 
-    Without ``iso_reduce`` the stream ranges over node-id-labeled structures;
-    with it, one representative per isomorphism class (sound for all
-    implemented semantics, which are isomorphism-invariant).
+    Without ``iso_reduce`` the stream ranges over node-id-labeled structures:
+    per node count, labels in ``itertools.product`` order, then the edge
+    mask counting up.  With it, one representative per isomorphism class
+    (sound for all implemented semantics, which are isomorphism-invariant),
+    in increasing packed code.
     """
     if max_nodes > safety_bound:
         raise OracleBoundError(
@@ -322,13 +324,42 @@ def enumerate_digraphs(max_nodes: int, bits: int = 0, rels: int = 1,
         return
     if kind != "general":
         raise ValueError(f"enumeration not implemented for kind {kind!r}")
-    if iso_reduce:
-        yield from _enumerate_canonical(max_nodes, bits, rels)
-        return
     for n in range(1, max_nodes + 1):
-        for labels in itertools.product(_bitstrings(bits), repeat=n):
-            for edges in _all_edge_sets(n, rels):
-                yield Digraph(bits, rels, tuple(labels), edges)
+        decode, label_codes = _decoder(n, bits, rels)
+        if iso_reduce:
+            codes = _canonical_codes(n, bits, rels).tolist()
+        else:
+            edge_masks = range(1 << rels * n * n)
+            codes = (lab | mask for lab in label_codes for mask in edge_masks)
+        for code in codes:
+            yield decode(code)
+
+
+@lru_cache(maxsize=32)
+def _decoder(n: int, bits: int, rels: int):
+    """``code -> Digraph`` for n nodes, and the label parts of the codes in
+    ``itertools.product`` order.  Edges come from one table per 8-bit chunk
+    of the adjacency bits, labels from one table over the label bits."""
+    shift = rels * n * n
+    pairs = [(r, i, j) for r in range(1, rels + 1)
+             for i in range(n) for j in range(n)]
+    chunks = [(lo, [tuple(p for k, p in enumerate(pairs[lo:lo + 8])
+                          if byte >> k & 1) for byte in range(256)])
+              for lo in range(0, shift, 8)]
+    label_tuples = list(itertools.product(_bitstrings(bits), repeat=n))
+    label_codes = [sum(1 << shift + v * bits + b
+                       for v, lab in enumerate(labels)
+                       for b, c in enumerate(lab) if c == "1")
+                   for labels in label_tuples]
+    by_code = dict(zip(label_codes, label_tuples))
+    label_table = [by_code[c << shift] for c in range(1 << n * bits)]
+
+    def decode(code: int) -> Digraph:
+        edges = frozenset().union(*[table[code >> lo & 255]
+                                    for lo, table in chunks])
+        return Digraph(bits, rels, label_table[code >> shift], edges)
+
+    return decode, label_codes
 
 
 def _encode(d: Digraph, perm: Sequence[int]) -> tuple:
@@ -351,129 +382,60 @@ def are_isomorphic(a: Digraph, b: Digraph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def _from_encoding(bits: int, rels: int, enc: tuple) -> Digraph:
-    n, labels, edges = enc
-    return Digraph(bits, rels, labels, frozenset(edges))
-
-
-def _enumerate_canonical(max_nodes: int, bits: int, rels: int) -> Iterator[Digraph]:
-    """Canonical representatives by augmentation: extend (n-1)-node
-    representatives with one fresh node in all ways, keep canonical forms."""
-    if rels == 1:
-        yield from _enumerate_canonical_packed(max_nodes, bits)
-        return
-    level: set[tuple] = set()
-    for lab in _bitstrings(bits):
-        for mask in range(1 << rels):
-            edges = frozenset((r + 1, 0, 0) for r in range(rels) if mask >> r & 1)
-            level.add(canonical_form(Digraph(bits, rels, (lab,), edges)))
-    for enc in sorted(level):
-        yield _from_encoding(bits, rels, enc)
-    n = 1
-    while n < max_nodes:
-        n += 1
-        new_level: set[tuple] = set()
-        slots = [(r, old, io) for r in range(1, rels + 1)
-                 for old in range(n - 1) for io in ("in", "out")] + \
-                [(r, None, "self") for r in range(1, rels + 1)]
-        for enc in level:
-            base = _from_encoding(bits, rels, enc)
-            for lab in _bitstrings(bits):
-                for mask in range(1 << len(slots)):
-                    extra = []
-                    for i, (r, old, io) in enumerate(slots):
-                        if not mask >> i & 1:
-                            continue
-                        if io == "in":
-                            extra.append((r, old, n - 1))
-                        elif io == "out":
-                            extra.append((r, n - 1, old))
-                        else:
-                            extra.append((r, n - 1, n - 1))
-                    cand = Digraph(bits, rels, base.labels + (lab,),
-                                   base.edges | frozenset(extra))
-                    new_level.add(canonical_form(cand))
-        for enc in sorted(new_level):
-            yield _from_encoding(bits, rels, enc)
-        level = new_level
-
-
 def counting_formula(n: int, bits: int, rels: int) -> int:
     """Closed-form count of labeled digraphs with exactly n nodes."""
     return (2 ** (n * n * rels)) * (2 ** (n * bits))
 
 
-def _pack_positions(n: int, bits: int):
-    """Bit layout: adjacency (i,j) at i*n+j, label bit (v,b) at n*n+v*bits+b."""
-    def adj(i, j):
-        return i * n + j
-
-    def lab(v, b):
-        return n * n + v * bits + b
-
-    return adj, lab
-
-
-def _packed_decode(code: int, n: int, bits: int) -> Digraph:
-    adj, lab = _pack_positions(n, bits)
-    edges = [(1, i, j) for i in range(n) for j in range(n)
-             if code >> adj(i, j) & 1]
-    labels = ["".join("1" if code >> lab(v, b) & 1 else "0"
-                      for b in range(bits)) for v in range(n)]
-    return Digraph(bits, 1, tuple(labels), frozenset(edges))
+def _bit_moves(m: int, n: int, bits: int, rels: int, node_map: Sequence[int]):
+    """(source, target) bit pairs that move an m-node code to an n-node
+    code, node v becoming node ``node_map[v]``."""
+    moves = [((r * m + i) * m + j, (r * n + node_map[i]) * n + node_map[j])
+             for r in range(rels) for i in range(m) for j in range(m)]
+    return moves + [(rels * m * m + v * bits + b,
+                     rels * n * n + node_map[v] * bits + b)
+                    for v in range(m) for b in range(bits)]
 
 
-def _enumerate_canonical_packed(max_nodes: int, bits: int) -> Iterator[Digraph]:
-    """Vectorized canonical augmentation for 1-relational digraphs: graphs
-    are packed into integers and canonical forms are elementwise minima
-    over all node permutations.  The packed code arrays are cached; graphs
-    are decoded lazily per pass."""
-    for n in range(1, max_nodes + 1):
-        for code in _canonical_codes(n, bits):
-            yield _packed_decode(int(code), n, bits)
+def _moved(codes, moves):
+    """``codes`` with each source bit moved to its target bit; bits that
+    move by the same distance move together."""
+    masks: dict[int, int] = {}
+    for src, dst in moves:
+        masks[dst - src] = masks.get(dst - src, 0) | 1 << src
+    out = codes & 0
+    for shift, mask in masks.items():
+        out |= (codes & mask) << shift if shift >= 0 else (codes & mask) >> -shift
+    return out
 
 
 @lru_cache(maxsize=32)
-def _canonical_codes(n: int, bits: int):
-    """Packed codes of the canonical digraphs with exactly n nodes."""
+def _canonical_codes(n: int, bits: int, rels: int):
+    """Sorted packed codes of the canonical digraphs with exactly n nodes:
+    McKay's canonical augmentation.  Each (n-1)-node representative gets a
+    fresh node in every way; a candidate's canonical code is its least code
+    over all node permutations."""
     import numpy as np
 
-    width = n * n + n * bits
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
+    width = rels * n * n + n * bits
     if width > 62:
         raise OracleBoundError("packed enumeration exceeds 62 bits")
-    adj, lab = _pack_positions(n, bits)
-    if n == 1:
-        cands = np.arange(1 << width, dtype=np.int64)
-    else:
-        reps = _canonical_codes(n - 1, bits)
-        prev_adj, prev_lab = _pack_positions(n - 1, bits)
-        embed_pairs = (
-            [(prev_adj(i, j), adj(i, j))
-             for i in range(n - 1) for j in range(n - 1)]
-            + [(prev_lab(v, b), lab(v, b))
-               for v in range(n - 1) for b in range(bits)])
-        base = np.zeros_like(reps)
-        for src, dst in embed_pairs:
-            base |= ((reps >> src) & 1) << dst
-        new_bits = ([adj(i, n - 1) for i in range(n - 1)]
-                    + [adj(n - 1, j) for j in range(n - 1)]
-                    + [adj(n - 1, n - 1)]
-                    + [lab(n - 1, b) for b in range(bits)])
-        combos = np.arange(1 << len(new_bits), dtype=np.int64)
-        extra = np.zeros_like(combos)
-        for k, pos in enumerate(new_bits):
-            extra |= ((combos >> k) & 1) << pos
-        cands = (base[:, None] | extra[None, :]).ravel()
+    reps = _canonical_codes(n - 1, bits, rels)
+    embed = _bit_moves(n - 1, n, bits, rels, range(n - 1))
+    fresh = sorted(set(range(width)) - {dst for _, dst in embed})
+    if len(reps) << len(fresh) > CANDIDATE_LIMIT:
+        raise OracleBoundError(
+            f"augmenting to {n} nodes needs {len(reps) << len(fresh)} "
+            f"candidate codes, over {CANDIDATE_LIMIT}")
+    extra = _moved(np.arange(1 << len(fresh), dtype=np.int64),
+                   list(enumerate(fresh)))
+    cands = (_moved(reps, embed)[:, None] | extra[None, :]).ravel()
     canon = cands.copy()
     for perm in itertools.permutations(range(n)):
-        pairs = ([(adj(i, j), adj(perm[i], perm[j]))
-                  for i in range(n) for j in range(n)]
-                 + [(lab(v, b), lab(perm[v], b))
-                    for v in range(n) for b in range(bits)])
-        moved = np.zeros_like(cands)
-        for src, dst in pairs:
-            moved |= ((cands >> src) & 1) << dst
-        np.minimum(canon, moved, out=canon)
+        np.minimum(canon, _moved(cands, _bit_moves(n, n, bits, rels, perm)),
+                   out=canon)
     return np.unique(canon)
 
 
@@ -598,5 +560,7 @@ def from_json_dict(obj: dict) -> Digraph | PointedDigraph:
         raise ValueError("node ids must be dense 0..n-1")
     labels = [nd["label"] for nd in nodes]
     edges = [tuple(e) for e in obj["edges"]]
-    return make(obj["bits"], obj["relations"], labels, edges,
-                point=obj.get("point"))
+    point = obj.get("point")
+    if point is not None and not 0 <= point < len(nodes):
+        raise ValueError(f"point {point} is not a valid node id")
+    return make(obj["bits"], obj["relations"], labels, edges, point=point)

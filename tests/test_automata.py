@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import zlib
 
 import pytest
@@ -496,6 +497,17 @@ def test_forgetful_target_outside_its_states_raises():
         "delta": {"": [{"guards": [], "to": "ghost"}]}})
     with pytest.raises(UnmatchedTransition, match="ghost"):
         forgetful_run(fa, make(0, 1, [""], []))
+
+
+@pytest.mark.parametrize("initial,accepting,message", [
+    ("ghost", ("q",), "initial state 'ghost' not in state set"),
+    ("q", ("ghost",), "accepting states frozenset({'ghost'}) not in state set")])
+def test_forgetful_states_outside_the_state_set_are_refused(
+        initial, accepting, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ForgetfulAutomaton(states=("q",), rels=1, initial=initial,
+                           letters=("",), delta=lambda x, nvec: "q",
+                           accepting=frozenset(accepting))
 
 
 def test_forgetful_run_refuses_a_relation_count_mismatch():

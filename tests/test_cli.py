@@ -339,3 +339,38 @@ def test_fda2dfa_refuses_an_undeclared_target(capsys, tmp_path):
     assert code == 1 and out["verdict"] == "input-error"
     assert out["details"]["message"] == (
         "UnmatchedTransition: delta produced unknown state 'ghost'")
+
+
+def test_empty_forgetful_refuses_an_undeclared_initial_state(capsys, tmp_path):
+    f = tmp_path / "fda.json"
+    f.write_text(json.dumps({
+        "states": ["q"], "relations": 1, "initial": "ghost",
+        "accepting": ["ghost"],
+        "delta": {"": [{"guards": [], "to": "q"}]}}))
+    code, out = run_cli(capsys, "empty-forgetful", str(f))
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"].startswith("ValueError: ")
+
+
+def test_accept_refuses_a_point_outside_the_digraph(
+        capsys, fig_automaton_file, tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(dict(graphs.to_json_dict(
+        graphs.make(1, 1, ["1"], [])), point=7)))
+    code, out = run_cli(capsys, "accept", fig_automaton_file, str(g))
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"] == (
+        "ValueError: point 7 is not a valid node id")
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_accept_refuses_a_json_list(capsys, fig_automaton_file,
+                                    edge_graph_file, tmp_path, position):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([1, 2]))
+    files = [fig_automaton_file, edge_graph_file]
+    files[position] = str(bad)
+    code, out = run_cli(capsys, "accept", *files)
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"] == (
+        f"{bad}: top level is not a JSON object")

@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import itertools
 import re
 import weakref
 
@@ -106,9 +108,60 @@ def test_canonical_reduction_with_labels():
 
 
 def test_canonical_reduction_two_relations():
-    reduced = list(enumerate_digraphs(2, bits=0, rels=2, iso_reduce=True))
-    classes = {canonical_form(d) for d in enumerate_digraphs(2, 0, 2)}
-    assert len(reduced) == len(classes)
+    for bits, rels in [(0, 2), (1, 2), (0, 3)]:
+        reduced = list(enumerate_digraphs(2, bits=bits, rels=rels,
+                                          iso_reduce=True))
+        classes = {canonical_form(d)
+                   for d in enumerate_digraphs(2, bits, rels)}
+        assert len(reduced) == len(classes)
+        assert {canonical_form(d) for d in reduced} == classes
+
+
+def test_canonical_reduction_three_nodes_two_relations():
+    assert sum(1 for _ in enumerate_digraphs(3, bits=0, rels=2,
+                                             iso_reduce=True)) == 44364
+
+
+@pytest.mark.parametrize("bits,digest", [
+    (0, "106e15be0dbb2be6558c473cc274b6365aca8411"),
+    (1, "c8ee47e553bef6419c1566f01d4dd3c77c4c1004")])
+def test_one_relation_representatives_are_pinned(bits, digest):
+    """The representatives and their order, as the 4-node sweeps see them."""
+    h = hashlib.sha1()
+    for d in enumerate_digraphs(4, bits=bits, rels=1, iso_reduce=True):
+        h.update(repr((d.labels, d.sorted_edges())).encode())
+    assert h.hexdigest() == digest
+
+
+def _reference_stream(max_nodes, bits, rels):
+    letters = ["".join(b) for b in itertools.product("01", repeat=bits)]
+    for n in range(1, max_nodes + 1):
+        pairs = [(r, s, t) for r in range(1, rels + 1)
+                 for s in range(n) for t in range(n)]
+        for labels in itertools.product(letters, repeat=n):
+            for mask in range(1 << len(pairs)):
+                yield Digraph(bits, rels, labels,
+                              frozenset(p for i, p in enumerate(pairs)
+                                        if mask >> i & 1))
+
+
+@pytest.mark.parametrize("max_nodes,bits,rels", [(2, 1, 2), (3, 0, 1),
+                                                  (2, 0, 3)])
+def test_full_stream_order(max_nodes, bits, rels):
+    assert (list(enumerate_digraphs(max_nodes, bits=bits, rels=rels))
+            == list(_reference_stream(max_nodes, bits, rels)))
+
+
+def test_canonical_augmentation_refuses_oversized_candidates():
+    # 44,364 three-node classes times 2^14 ways to add a fourth node
+    with pytest.raises(OracleBoundError, match="candidate codes"):
+        list(enumerate_digraphs(4, bits=0, rels=2, iso_reduce=True))
+
+
+def test_json_point_must_be_a_node():
+    obj = dict(graphs.to_json_dict(make(0, 1, [""], [])), point=7)
+    with pytest.raises(ValueError, match="point 7 is not a valid node id"):
+        graphs.from_json_dict(obj)
 
 
 def test_isomorphic_grids():
