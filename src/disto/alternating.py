@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import formulas as fm
-from .automata import (NVec, RuleDelta, UnmatchedTransition, _in_slots,
-                       _Interned, _rule_from_json, _rule_json, all_nvecs)
-from .graphs import Digraph, enumerate_digraphs
+from .automata import (NVec, RuleDelta, UnmatchedTransition, _Interned,
+                       _rule_from_json, _rule_json, all_nvecs)
+from .graphs import Digraph, OracleBoundError, enumerate_digraphs
 
 GAME_SUCCESSOR_CAP = 200_000
 ENUM_LIMIT = 16  # max |Q| * rels for exhaustive validation
@@ -305,7 +305,7 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
         a._interned = ix, [_KIND_BIT[a.kind[q]] for q in ix.names]
     ix, kind_bits = a._interned
     ids, names, bits, options = ix.ids, ix.names, ix.bits, ix.memo
-    slots = _in_slots(d, True)
+    slots = d._in_slots
     acc_memo, memo = {}, {}
 
     def value(conf: tuple) -> bool:
@@ -921,6 +921,8 @@ def nldag_emptiness(a: AltAutomaton, mode: str = "capped",
     By the pigeonhole argument, a nonempty language contains a digraph with
     at most |Q|^(length+1) nodes.  The search enumerates digraphs up to
     isomorphism; ``exact`` reports whether the bound was fully covered.
+    When the enumerator refuses a node count (``OracleBoundError``), the
+    answer is empty up to the largest node count searched in full.
     """
     if not is_nondeterministic(a):
         raise AltError("emptiness search needs a nondeterministic automaton")
@@ -936,11 +938,17 @@ def nldag_emptiness(a: AltAutomaton, mode: str = "capped",
     if limit > 7:
         raise AltError(f"search bound {limit} is beyond desk scale; "
                        f"use capped mode")
-    bits = a.bits()
-    for d in enumerate_digraphs(limit, bits=bits, rels=a.rels,
-                                iso_reduce=True, safety_bound=limit):
-        if decide_acceptance_alt(a, d):
-            return EmptinessResult(False, True, d, limit, bound)
+    bits, searched = a.bits(), 0
+    try:
+        for d in enumerate_digraphs(limit, bits=bits, rels=a.rels,
+                                    iso_reduce=True, safety_bound=limit):
+            if decide_acceptance_alt(a, d):
+                return EmptinessResult(False, True, d, limit, bound)
+            searched = d.n  # node counts come in increasing order
+    except OracleBoundError:
+        # the enumerator refused the next node count: the smaller ones
+        # were searched in full, so the answer is empty up to those
+        return EmptinessResult(True, False, None, searched, bound)
     return EmptinessResult(True, limit >= bound, None, limit, bound)
 
 

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Digraph, PointedDigraph, edge_fault, subsets
+from .graphs import Digraph, PointedDigraph, _cached, subsets
 
 DEFAULT_HORIZON_CAP = 10 ** 6
 CLASSIFY_LIMIT = 18  # max |Q| * rels for exhaustive delta enumeration
@@ -137,19 +137,33 @@ def all_nvecs(states: Iterable[str], rels: int) -> Iterable[NVec]:
     return itertools.product(subsets(states), repeat=rels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    configs: tuple[tuple[str, ...], ...]  # one per time step, prefix + one period
+    """A run from time 0 through the lasso prefix and one period.
+
+    ``ids`` holds its configurations as interned state ids and ``names``
+    is the automaton's id -> state list (only appended to), so a result
+    decodes just what it is asked for: ``configs`` all of it, once, on
+    first access; ``state_at`` and ``visited_states`` one node's column."""
+
+    ids: tuple[tuple[int, ...], ...]
+    names: Sequence = field(repr=False)
     prefix: int
     period: int
 
+    @_cached
+    def configs(self) -> tuple[tuple[str, ...], ...]:
+        name = self.names.__getitem__
+        return tuple(tuple(map(name, c)) for c in self.ids)
+
     def state_at(self, t: int, v: int) -> str:
-        if t < len(self.configs):
-            return self.configs[t][v]
-        return self.configs[self.prefix + (t - self.prefix) % self.period][v]
+        if t >= len(self.ids):
+            t = self.prefix + (t - self.prefix) % self.period
+        return self.names[self.ids[t][v]]
 
     def visited_states(self, v: int) -> set[str]:
-        return {conf[v] for conf in self.configs}
+        names = self.names
+        return {names[i] for i in {c[v] for c in self.ids}}
 
 
 class _Interned:
@@ -187,23 +201,15 @@ class _Interned:
         return own, tuple(map(frozenset, received))
 
 
-def _in_slots(d: Digraph, own: bool) -> list[list[int]]:
-    """Per node, the positions in a round's received bits (node u's bit for
-    slot s at u * (rels + 1) + s) that its key ORs together: its own slot 0
-    if ``own``, then slot r of u for each edge (r, u, v)."""
-    stride, n = d.rels + 1, d.n
-    slots = [[v * stride] if own else [] for v in range(n)]
-    for r, u, v in d.edges:
-        if not (0 < r < stride and 0 <= u < n and 0 <= v < n):
-            raise ValueError(edge_fault(d, (r, u, v)))
-        slots[v].append(u * stride + r)
-    return slots
-
-
 def _run_rounds(a, d: Digraph, initial: Sequence[str],
                 letters: Sequence[str] | None, horizon, cap: int) -> RunResult:
     """The round loop of synchronous runs (``letters`` None: slot 0 holds
     a node's current state) and forgetful runs (slot 0 holds its letter).
+
+    Round 1 computes every node.  Later rounds recompute, in increasing
+    node order, only the nodes that read a node whose state changed in the
+    last round: its out-neighbours, and in synchronous runs the node
+    itself.  Every other node's key is unchanged, so it keeps its state.
     A key missing from the memo is decoded and passed to ``a.step``; ``a``
     needs nothing else but a ``__dict__`` for its tables (one per relation
     count), so states may be any hashable values (``formulas.MuEvaluator``
@@ -213,24 +219,41 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
     if ix is None:
         ix = tables[d.rels] = _Interned(d.rels)
     memo, bits = ix.memo, ix.bits
+    slots, stride = d._in_slots, d.rels + 1
+    state = list(map(ix.intern, initial))
+    received = [b for q in state for b in bits[q]]
     own = letters is None
-    base = [0] * d.n if own else [bits[ix.intern(x)][0] for x in letters]
-    slots = _in_slots(d, own)
-    conf = tuple(map(ix.intern, initial))
+    if not own:
+        received[::stride] = [bits[ix.intern(x)][0] for x in letters]
+    first = 0 if own else 1  # the slots a node's state change rewrites
+    conf = tuple(state)
     seen, configs = {conf: 0}, [conf]
     auto = horizon == "auto"
     limit = cap if auto else min(int(horizon), cap)
+    dirty = range(d.n)
     for t in range(1, limit + 1):
-        received = [b for q in conf for b in bits[q]]
-        nxt = []
-        for key, node_slots in zip(base, slots):
-            for j in node_slots:
+        changed = []
+        for v in dirty:
+            key = 0
+            for j in slots[v]:
                 key |= received[j]
             q = memo.get(key)
             if q is None:
                 q = memo[key] = ix.intern(a.step(*ix.decode(key)))
-            nxt.append(q)
-        conf = tuple(nxt)
+            if q != state[v]:  # other nodes read the old state in received
+                state[v] = q
+                changed.append(v)
+        if changed:
+            readers = d._readers
+            dirty = set(changed) if own else set()
+            for v in changed:
+                received[v * stride + first:(v + 1) * stride] = \
+                    bits[state[v]][first:]
+                dirty.update(readers[v])
+            dirty = sorted(dirty)
+            conf = tuple(state)
+        else:
+            dirty = ()
         if auto:
             prefix = seen.setdefault(conf, t)
             if prefix != t:
@@ -243,9 +266,7 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
             break
     else:
         raise HorizonExceeded(f"no lasso within {limit} steps")
-    name = ix.names.__getitem__
-    return RunResult(tuple(tuple(map(name, c)) for c in configs),
-                     prefix=prefix, period=period)
+    return RunResult(tuple(configs), ix.names, prefix=prefix, period=period)
 
 
 def sync_run(a: DistributedAutomaton, d: Digraph,
@@ -269,8 +290,9 @@ def accepted_nodes(a: DistributedAutomaton, d: Digraph) -> frozenset[int]:
     """Bulk variant: the set of nodes whose machine ever visits an
     accepting state, from a single run."""
     run = sync_run(a, d)
-    return frozenset(v for v in d.nodes()
-                     if run.visited_states(v) & a.accepting)
+    hit = {i for i, q in enumerate(run.names) if q in a.accepting}
+    return frozenset(v for v, column in enumerate(zip(*run.ids))
+                     if not hit.isdisjoint(column))
 
 
 @dataclass(frozen=True)

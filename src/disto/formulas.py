@@ -680,8 +680,9 @@ class MuEvaluator:
         initial = [frozenset(f"P{i}" for i, b in enumerate(lab, 1) if b == "1")
                    for lab in d.labels]
         run = _run_rounds(self, d, initial, None, "auto", DEFAULT_HORIZON_CAP)
-        final = run.configs[-1]
-        vals = {name: frozenset(v for v, q in enumerate(final) if name in q)
+        final, names = run.ids[-1], run.names
+        vals = {name: frozenset(v for v, q in enumerate(final)
+                                if name in names[q])
                 for name in self.system.variables}
         return vals, run.prefix
 

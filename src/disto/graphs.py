@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 ENUM_SAFETY_BOUND = 6
@@ -23,6 +23,22 @@ def _bitstrings(width: int) -> list[str]:
     return ["".join(bits) for bits in itertools.product("01", repeat=width)]
 
 
+class _cached:
+    """``functools.cached_property`` without the lock it takes before
+    Python 3.12: the value is computed on first use and stored in the
+    instance ``__dict__``, where later lookups find it first.  Threads that
+    race compute equal values."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Digraph:
     """An l-bit labeled, r-relational directed graph.
@@ -30,10 +46,11 @@ class Digraph:
     ``edges`` holds triples (relation, src, dst) with relations numbered
     from 1.  Construction does not validate; see :func:`validate`.
 
-    The in- and out-adjacency tables are built once per instance, on first
-    use, and stored on the instance outside the dataclass fields, so
-    hashing, equality and ``repr`` see only the fields above, and a digraph
-    dropped by its callers is freed together with its tables.
+    The in- and out-adjacency tables and the round loop's slot and reader
+    tables are built once per instance, on first use, and stored on the
+    instance outside the dataclass fields, so hashing, equality and
+    ``repr`` see only the fields above, and a digraph dropped by its
+    callers is freed together with its tables.
     """
 
     bits: int
@@ -57,11 +74,11 @@ class Digraph:
     def relation(self, i: int) -> frozenset[tuple[int, int]]:
         return frozenset((s, d) for (r, s, d) in self.edges if r == i)
 
-    @cached_property
+    @_cached
     def _in(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return self._adjacency(2, 1)
 
-    @cached_property
+    @_cached
     def _out(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         return self._adjacency(1, 2)
 
@@ -80,6 +97,29 @@ class Digraph:
             for vs in per_rel:
                 vs.sort()
         return tuple([tuple(map(tuple, per_rel)) for per_rel in table.values()])
+
+    @_cached
+    def _in_slots(self) -> tuple[tuple[int, ...], ...]:
+        """Per node v, the positions its round-loop key ORs together, in a
+        list holding node u's bit for slot s at u * (rels + 1) + s: v's own
+        slot 0 first, then slot r of u for each edge (r, u, v)."""
+        stride, n = self.rels + 1, self.n
+        slots = [[v * stride] for v in range(n)]
+        for e in self.edges:
+            r, u, v = e
+            if not (0 < r < stride and 0 <= u < n and 0 <= v < n):
+                raise ValueError(edge_fault(self, e))
+            slots[v].append(u * stride + r)
+        return tuple(map(tuple, slots))
+
+    @_cached
+    def _readers(self) -> tuple[tuple[int, ...], ...]:
+        """Per node u, the nodes v of its edges (r, u, v), with repeats."""
+        self._in_slots  # refuses a faulty edge
+        readers = [[] for _ in range(self.n)]
+        for _, u, v in self.edges:
+            readers[u].append(v)
+        return tuple(map(tuple, readers))
 
     def in_neighbors(self, i: int, v: int) -> tuple[int, ...]:
         return self._in[i - 1][v]

@@ -46,18 +46,36 @@ class TreeAutomaton:
         return tuple(sorted({a for (_, a) in self.delta}))
 
     def run_on(self, pd: PointedDigraph) -> str:
+        """The state at the point: a node's children are its first
+        in-neighbours over relations 1, 2, ... up to the first relation
+        without one.  Post-order on an explicit stack, so deep trees do not
+        reach the recursion limit."""
         d = pd.digraph
 
-        def assign(v: int) -> str:
-            children = []
+        def children(v: int) -> list[int]:
+            out = []
             for i in range(1, d.rels + 1):
                 incoming = d.in_neighbors(i, v)
                 if not incoming:
                     break
-                children.append(assign(incoming[0]))
-            return self.delta[(tuple(children), d.label(v))]
+                out.append(incoming[0])
+            return out
 
-        return assign(pd.point)
+        state: dict[int, str] = {}
+        stack, open_ = [(pd.point, children(pd.point))], {pd.point}
+        while stack:
+            v, kids = stack[-1]
+            pending = next((c for c in kids if c not in state), None)
+            if pending is not None:
+                if pending in open_:
+                    raise ValueError(f"node {pending} is its own descendant")
+                open_.add(pending)
+                stack.append((pending, children(pending)))
+                continue
+            stack.pop()
+            state[v] = self.delta[(tuple(state[c] for c in kids),
+                                   d.label(v))]
+        return state[pd.point]
 
     def accepts(self, pd: PointedDigraph) -> bool:
         return self.run_on(pd) in self.accepting

@@ -250,3 +250,18 @@ def random_dmlg_formula(rng: random.Random, bits: int = 1,
         return fm.BBox(1, (build(d - 1),))
 
     return build(depth)
+
+
+def unreachable_accepting_nldag_json() -> dict:
+    """Three permanent states over 2-bit labels and 2 relations; only p is
+    ever entered and only {q} accepts, so the language is empty and its
+    pigeonhole bound is 3 nodes."""
+    states = ("p", "q", "r")
+    return {
+        "states": [{"name": q, "kind": "P"} for q in states],
+        "relations": 2,
+        "init": {"".join(lab): "p"
+                 for lab in itertools.product("01", repeat=2)},
+        "rules": [{"from": q, "guards": [], "to": [q]} for q in states],
+        "accepting_sets": [["q"]],
+    }

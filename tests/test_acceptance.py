@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  Exhaustive sweeps are
+Run with `pytest tests/test_acceptance.py -v -s`; every test here carries
+the ``acceptance`` marker, so `pytest -m "not acceptance"` runs the module
+suites alone.  Exhaustive sweeps are
 isomorphism-reduced only where noted (all checked semantics are
 isomorphism-invariant; the reduction itself is validated in test_graphs).
 """
@@ -20,6 +22,8 @@ from disto.formulas import MuEvaluator, eval_mu_full
 from disto.graphs import dipath, enumerate_digraphs, grid, make
 
 import gens
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(name: str, ok: bool, detail: str = ""):

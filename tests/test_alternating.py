@@ -5,7 +5,7 @@ import pytest
 
 from disto import alternating as alt
 from disto import formulas as fm
-from disto import zoo
+from disto import graphs, zoo
 from disto.alternating import (AltAutomaton, AltError, ExplicitSets,
                                apply_closure, compile_mso_to_aldag,
                                complement, decide_acceptance_alt, explicit,
@@ -535,6 +535,16 @@ def test_emptiness_three_col_witness():
 def test_emptiness_rejects_alternating():
     with pytest.raises(AltError):
         nldag_emptiness(zoo.non_three_col_aldag())
+
+
+def test_emptiness_refused_mid_search_keeps_what_it_searched(monkeypatch):
+    # (3 nodes, 2 bits, 2 relations) is built by no other test, so the
+    # lowered limit refuses it after the 1- and 2-node digraphs were gamed
+    monkeypatch.setattr(graphs, "CANDIDATE_LIMIT", 100_000)
+    a = alt.from_json_dict(gens.unreachable_accepting_nldag_json())
+    res = nldag_emptiness(a)
+    assert res.empty and not res.exact and res.witness is None
+    assert (res.searched_up_to, res.pigeonhole_bound) == (2, 3)
 
 
 def test_emptiness_cap_flagging():

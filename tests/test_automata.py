@@ -415,6 +415,16 @@ def _as_tuple(run):
     return run.configs, run.prefix, run.period
 
 
+def _sync_case(a, d):
+    return (a, sync_run, d, [a.init[x] for x in d.labels],
+            lambda conf, v, nvec: a.delta(conf[v], nvec))
+
+
+def _forgetful_case(fa, d):
+    return (fa, forgetful_run, d, [fa.initial] * d.n,
+            lambda conf, v, nvec: fa.delta(d.label(v), nvec))
+
+
 @pytest.mark.parametrize("rels,bits", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_interned_runs_match_reference_loop(rels, bits):
     rng = random.Random(1000 * rels + bits)
@@ -425,17 +435,8 @@ def test_interned_runs_match_reference_loop(rels, bits):
         for _ in range(8):
             d = gens.random_digraph(rng, 6, bits=bits, rels=rels,
                                     edge_p=rng.choice((0.15, 0.4)))
-            sync_initial = [sa.init[x] for x in d.labels]
-
-            def sync_next(conf, v, nvec):
-                return sa.delta(conf[v], nvec)
-
-            def forgetful_next(conf, v, nvec):
-                return fa.delta(d.label(v), nvec)
-
-            cases = [(sa, sync_run, sync_initial, sync_next),
-                     (fa, forgetful_run, [fa.initial] * d.n, forgetful_next)]
-            for a, run, initial, next_state in cases:
+            for a, run, _, initial, next_state in (_sync_case(sa, d),
+                                                   _forgetful_case(fa, d)):
                 want = reference_run(d, initial, next_state)
                 assert _as_tuple(run(a, d)) == want
                 horizon = rng.randint(1, 8)
@@ -449,6 +450,100 @@ def test_interned_runs_match_reference_loop(rels, bits):
                 assert _as_tuple(run(a, d, cap=closes)) == want
                 with pytest.raises(HorizonExceeded):
                     run(a, d, horizon=0)
+
+
+def _oscillator():
+    """A source flips between a and b; every other node copies the state
+    it receives, so a wave of changes runs down a dipath forever."""
+    def delta(q, nvec):
+        if not nvec[0]:
+            return "b" if q == "a" else "a"
+        return min(nvec[0])
+    return DistributedAutomaton(states=("a", "b"), rels=1, init={"": "a"},
+                                accepting=frozenset({"b"}), delta=delta)
+
+
+def _two_relation_case():
+    # nodes 0 and 1 are joined in both relations, 1 and 2 in relation 2
+    rng = random.Random(7)
+    a = random_sync_automaton(rng, 2, 0)
+    d = make(0, 2, [""] * 4, [(1, 0, 1), (2, 0, 1), (2, 1, 2), (1, 3, 3)])
+    return _sync_case(a, d)
+
+
+_LOOP_CASES = {
+    "period-2-oscillator": lambda: _sync_case(_oscillator(),
+                                              dipath(6).digraph),
+    "settles-before-the-horizon": lambda: _sync_case(
+        zoo.reachability_automaton(),
+        dipath(5, labels=["1", "0", "0", "0", "0"]).digraph),
+    "forgetful-wave": lambda: _forgetful_case(
+        zoo.balanced_tree_fda(),
+        make(0, 2, [""] * 5, [(1, 1, 0), (2, 2, 0), (1, 3, 1), (2, 4, 1)])),
+    "forgetful-random": lambda: _forgetful_case(
+        random_forgetful_automaton(random.Random(3), 1, 1),
+        gens.random_digraph(random.Random(4), 7, bits=1, edge_p=0.3)),
+    "pair-joined-in-two-relations": _two_relation_case,
+}
+
+
+@pytest.mark.parametrize("case", list(_LOOP_CASES))
+def test_change_driven_loop_matches_reference_loop(case):
+    a, run, d, initial, next_state = _LOOP_CASES[case]()
+    want = reference_run(d, initial, next_state)
+    got = run(a, d)
+    assert _as_tuple(got) == want
+    closes = want[1] + want[2]
+    with pytest.raises(HorizonExceeded):
+        run(a, d, cap=closes - 1)
+    # a bounded window past the lasso: from the settling round on no node
+    # is left to recompute
+    horizon = closes + 3
+    assert (_as_tuple(run(a, d, horizon=horizon))
+            == reference_run(d, initial, next_state, horizon))
+    # the result decodes its interned configurations on demand
+    decoded = tuple(tuple(got.names[i] for i in c) for c in got.ids)
+    assert got.configs == decoded == want[0]
+    for v in d.nodes():
+        assert got.visited_states(v) == {c[v] for c in decoded}
+        for t in range(closes + 2 * got.period):
+            u = t if t < len(decoded) else (
+                got.prefix + (t - got.prefix) % got.period)
+            assert got.state_at(t, v) == decoded[u][v]
+
+
+def test_oscillator_and_settled_runs_have_the_expected_lassos():
+    assert _as_tuple(sync_run(_oscillator(), dipath(3).digraph))[1:] == (2, 2)
+    d = dipath(5, labels=["1", "0", "0", "0", "0"]).digraph
+    run = sync_run(zoo.reachability_automaton(), d)
+    assert run.period == 1 and run.prefix < 8
+    bounded = sync_run(zoo.reachability_automaton(), d, horizon=8)
+    assert (bounded.prefix, bounded.period) == (8, 1)
+    assert bounded.configs[run.prefix:] == (run.configs[-1],) * (9 - run.prefix)
+
+
+def test_unmatched_transition_names_the_lowest_failing_node():
+    # round 2: node 1 receives {x} and node 3 receives {y}, and idle has
+    # no rule for either; the plain loop meets node 1 first
+    def eq(*states):
+        return (Guard(1, "eq", frozenset(states)),)
+
+    any_ = (Guard(1, "any", frozenset()),)
+    a = DistributedAutomaton(
+        states=("idle", "go", "run", "x", "y"), rels=1,
+        init={"00": "idle", "01": "go", "10": "run"}, accepting=frozenset(),
+        delta=RuleDelta([Rule("go", any_, "x"), Rule("run", any_, "y"),
+                         Rule("x", any_, "x"), Rule("y", any_, "y"),
+                         Rule("idle", eq("go"), "idle"),
+                         Rule("idle", eq("run"), "idle")]))
+    d = make(2, 1, ["10", "00", "01", "00"], [(1, 2, 1), (1, 0, 3)])
+    _, _, _, initial, next_state = _sync_case(a, d)
+    with pytest.raises(UnmatchedTransition) as want:
+        reference_run(d, initial, next_state)
+    with pytest.raises(UnmatchedTransition) as got:
+        sync_run(a, d)
+    assert str(got.value) == str(want.value)
+    assert "'idle' with (frozenset({'x'}),)" in str(got.value)
 
 
 def test_partial_rule_delta_raises_unmatched_transition():

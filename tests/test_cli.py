@@ -7,6 +7,8 @@ from disto.cli import main, report_format
 from disto.formulas import print_mu
 from disto.reductions import tm_json_dict
 
+import gens
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -202,6 +204,16 @@ def test_empty_nldag_verb(capsys, tmp_path):
     f.write_text(json.dumps(obj))
     code, out = run_cli(capsys, "empty-nldag", str(f))
     assert out["verdict"] == "nonempty"
+
+
+def test_empty_nldag_refused_mid_search_is_empty_up_to_cap(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(graphs, "CANDIDATE_LIMIT", 100_000)
+    f = tmp_path / "n.json"
+    f.write_text(json.dumps(gens.unreachable_accepting_nldag_json()))
+    code, out = run_cli(capsys, "empty-nldag", str(f), "--max-nodes", "3")
+    assert code == 0 and out["verdict"] == "empty-up-to-cap"
+    assert out["details"] == {"searched_up_to": 2, "pigeonhole_bound": 3}
 
 
 def test_search_witness_verb(capsys, tmp_path, fig_automaton_file):

@@ -205,14 +205,26 @@ def test_json_roundtrip_and_field_order():
 def test_adjacency_does_not_keep_digraphs_alive():
     a = zoo.reachability_automaton()
     ev = MuEvaluator(zoo.reachability_mu_system())
+    fa = ForgetfulAutomaton(states=("w", "s"), rels=1, initial="w",
+                            letters=("0", "1"),
+                            delta=lambda x, nvec: "s" if nvec[0] else "w",
+                            accepting=frozenset())
+    game = zoo.three_col_aldag()
     d = make(1, 1, ["1", "0", "0"], [(1, 0, 1), (1, 1, 2)])
-    sync_run(a, d)
+    d0 = make(0, 1, ["", ""], [(1, 0, 1)])
+    kept = [sync_run(a, d), forgetful_run(fa, d)]
     assert ev.eval(d) == zoo.reachability_oracle(d) == {0, 1, 2}
+    assert decide_acceptance_alt(game, d0)
     assert d.in_neighbors(1, 2) == (1,) and d.out_neighbors(1, 0) == (1,)
-    ref = weakref.ref(d)
-    del d
+    assert {"_in_slots", "_readers"} <= set(vars(d))
+    assert "_in_slots" in vars(d0)
+    refs = [weakref.ref(d), weakref.ref(d0)]
+    del d, d0
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
+    # the kept results decode without their digraph
+    assert kept[0].configs[0] == ("1", "2", "2")
+    assert kept[1].configs == (("w",) * 3, ("w", "s", "s"))
 
 
 def test_game_does_not_keep_digraphs_alive():

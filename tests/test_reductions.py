@@ -5,14 +5,14 @@ import pytest
 
 from disto import zoo
 from disto.automata import (decide_acceptance_forgetful,
-                            decide_acceptance_sync, monovisioned_transform,
-                            sync_run)
-from disto.graphs import dipath, enumerate_ordered_ditrees
-from disto.reductions import (Dfa, TuringMachine, dfa_from_json_dict,
-                              dfa_json_dict, dfa_to_fda, fda_to_dfa,
-                              ta_from_json_dict, ta_json_dict, tm_from_json_dict,
-                              tm_json_dict, tm_to_da, treeautomaton_to_fda,
-                              word_to_dipath)
+                            decide_acceptance_sync, forgetful_run,
+                            monovisioned_transform, sync_run)
+from disto.graphs import dipath, enumerate_ordered_ditrees, make
+from disto.reductions import (Dfa, TreeAutomaton, TuringMachine,
+                              dfa_from_json_dict, dfa_json_dict, dfa_to_fda,
+                              fda_to_dfa, ta_from_json_dict, ta_json_dict,
+                              tm_from_json_dict, tm_json_dict, tm_to_da,
+                              treeautomaton_to_fda, word_to_dipath)
 
 import gens
 
@@ -140,6 +140,38 @@ def test_leaf_parity_ta_bridge():
         want = count_leaves(tree) % 2 == 1
         assert ta.accepts(tree) == want
         assert decide_acceptance_forgetful(fda, tree) == want
+
+
+def label_parity_unary_ta():
+    """Arity 1: accepts when an odd number of nodes carry label 1."""
+    flip = {("e", "0"): "e", ("e", "1"): "o", ("o", "0"): "o",
+            ("o", "1"): "e"}
+    delta = {((), x): flip[("e", x)] for x in ("0", "1")}
+    delta.update({((q,), x): out for (q, x), out in flip.items()})
+    return TreeAutomaton(states=("e", "o"), arity=1, delta=delta,
+                         accepting=frozenset({"o"}))
+
+
+def test_tree_automaton_on_a_3000_node_dipath():
+    rng = random.Random(3000)
+    labels = [rng.choice("01") for _ in range(3000)]
+    pd = dipath(3000, labels=labels)
+    ta = label_parity_unary_ta()
+    want = labels.count("1") % 2 == 1
+    assert ta.accepts(pd) == want
+    fda = treeautomaton_to_fda(ta)
+    run = forgetful_run(fda, pd.digraph)
+    # the root fires once the wave from the leaf has crossed the path
+    assert (run.prefix, run.period) == (3000, 1)
+    assert (run.state_at(run.prefix, pd.point) in fda.accepting) == want
+    assert decide_acceptance_forgetful(fda, pd) == want
+
+
+def test_tree_automaton_refuses_a_cycle():
+    ta = label_parity_unary_ta()
+    cycle = make(1, 1, ["0", "1"], [(1, 0, 1), (1, 1, 0)], point=1)
+    with pytest.raises(ValueError, match="its own descendant"):
+        ta.run_on(cycle)
 
 
 def test_random_ta_bridge():
