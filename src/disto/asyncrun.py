@@ -10,10 +10,13 @@ keeps acceptance decidable through the synchronous lasso on the suffix.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
+from typing import Sequence
 
-from .automata import DEFAULT_HORIZON_CAP, DistributedAutomaton, HorizonExceeded
-from .graphs import Digraph, PointedDigraph
+from .automata import (DEFAULT_HORIZON_CAP, DistributedAutomaton,
+                       HorizonExceeded, _accepting_columns, _interned)
+from .graphs import Digraph, PointedDigraph, _cached
 
 Trace = tuple[str, ...]
 
@@ -74,19 +77,21 @@ class Timing:
                             f"step {t}: active edge into inactive node {dst} "
                             f"violates the lossless constraint")
 
-    def node_active(self, t: int, v: int) -> bool:
-        if t <= len(self.prefix):
-            return bool(self.prefix[t - 1].nodes[v])
-        return True
 
-    def edge_active(self, t: int, idx: int) -> bool:
-        if t <= len(self.prefix):
-            return bool(self.prefix[t - 1].edges[idx])
-        return True
+def _edge_order(d: Digraph) -> tuple[tuple[int, int, int], ...]:
+    """The canonical edge order of ``d``, refusing a faulty edge."""
+    d._in_slots  # raises ValueError with graphs.edge_fault's message
+    return tuple(d.sorted_edges())
+
+
+def _check_node_bits(prefix, n: int) -> None:
+    for t, step in enumerate(prefix, start=1):
+        if len(step.nodes) != n:
+            raise TimingError(f"step {t}: wrong node-bit count")
 
 
 def synchronous_timing(d: Digraph) -> Timing:
-    return Timing(edge_order=tuple(d.sorted_edges()), prefix=(), lossless=True)
+    return Timing(edge_order=_edge_order(d), prefix=(), lossless=True)
 
 
 def sample_timing(d: Digraph, prefix_len: int, lossless: bool, seed: int) -> Timing:
@@ -96,7 +101,7 @@ def sample_timing(d: Digraph, prefix_len: int, lossless: bool, seed: int) -> Tim
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
     rng = random.Random(seed)
-    order = tuple(d.sorted_edges())
+    order = _edge_order(d)
     steps = []
     for _ in range(prefix_len):
         nodes = tuple(rng.randint(0, 1) for _ in d.nodes())
@@ -115,15 +120,44 @@ class AsyncConfiguration:
     time: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsyncRunResult:
+    """A timed run from time 0 through the lasso prefix and one period.
+
+    Each buffer is a suffix of its source's history: the source's state
+    ids with consecutive repeats dropped.  ``ids`` holds the node states
+    and ``heads`` each buffer's first index into that history, per time
+    step; ``names`` is the automaton's id -> state list (only appended
+    to).  ``configs`` decodes every configuration once, on first access."""
+
     edge_order: tuple[tuple[int, int, int], ...]
-    configs: tuple[AsyncConfiguration, ...]
+    ids: tuple[tuple[int, ...], ...]
+    heads: tuple[tuple[int, ...], ...]
+    history: tuple[tuple[int, ...], ...]
+    names: Sequence = field(repr=False)
     prefix: int
     period: int
 
+    @_cached
+    def configs(self) -> tuple[AsyncConfiguration, ...]:
+        name = self.names.__getitem__
+        src = [s for _, s, _ in self.edge_order]
+        end = [1] * len(self.history)  # history entries up to time t
+        configs, last = [], self.ids[0]
+        for t, (conf, head) in enumerate(zip(self.ids, self.heads)):
+            for v, (q, p) in enumerate(zip(conf, last)):
+                if q != p:
+                    end[v] += 1
+            last = conf
+            buffers = tuple(tuple(map(name, self.history[s][h:end[s]]))
+                            for s, h in zip(src, head))
+            configs.append(AsyncConfiguration(tuple(map(name, conf)),
+                                              buffers, t))
+        return tuple(configs)
+
     def visited_states(self, v: int) -> set[str]:
-        return {c.node_state[v] for c in self.configs}
+        names = self.names
+        return {names[i] for i in {c[v] for c in self.ids}}
 
 
 def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
@@ -131,51 +165,86 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
     """Timed run per the three-case inductive definition: an inactive node
     keeps its state, an active one applies delta to the incoming buffer
     heads; each buffer pushes the source's new state and pops when its edge
-    is active.  The all-active tail is explored up to lasso closure."""
+    is active.  The all-active tail is explored up to lasso closure.
+
+    A buffer's last entry is always its source's current state and a pop
+    never removes it, so the buffer is a suffix of the source's history
+    and is kept as one head index into it.  A node's key is the
+    synchronous one of ``automata._run_rounds`` (own state in slot 0,
+    buffer heads in slot 1), so timed and synchronous runs of ``a`` share
+    one transition memo.  An active node whose own state and buffer heads
+    are unchanged since it last computed keeps its state without a
+    lookup: its key, and so its memoised transition, is the same."""
     if a.rels != 1:
         raise ValueError("asynchronous semantics is defined over 1 relation")
     if d.rels != 1:
         raise ValueError("asynchronous runs need a 1-relational digraph")
     order = timing.edge_order
-    if order != tuple(d.sorted_edges()):
+    if order != _edge_order(d):
         raise TimingError("timing was built for a different digraph")
-    in_edges: dict[int, list[int]] = {v: [] for v in d.nodes()}
-    for idx, (_, src, dst) in enumerate(order):
-        in_edges[dst].append(idx)
+    steps = timing.prefix
+    _check_node_bits(steps, d.n)
+    ix = _interned(a, 1)
+    memo, bits = ix.memo, ix.bits
+    src, dst = [e[1] for e in order], [e[2] for e in order]
+    into: list[list[int]] = [[] for _ in d.nodes()]
+    for e, v in enumerate(dst):
+        into[v].append(e)
+    stale = [True] * d.n  # v's key may have changed since v last computed
 
-    nodes = tuple(a.initial_state(d.label(v)) for v in d.nodes())
-    buffers = tuple((a.initial_state(d.label(src)),) for (_, src, _) in order)
-    configs = [AsyncConfiguration(nodes, buffers, 0)]
+    state = [ix.intern(a.initial_state(x)) for x in d.labels]
+    history = [[q] for q in state]
+    head = [0] * len(order)
+    head_bit = [bits[state[s]][1] for s in src]  # slot-1 bit of each head
+    ids, heads = [tuple(state)], [tuple(head)]
     seen: dict = {}
-    limit = cap if horizon == "auto" else min(int(horizon), cap)
+    auto = horizon == "auto"
+    limit = cap if auto else min(int(horizon), cap)
+    all_nodes, all_edges = d.nodes(), range(len(order))
     for t in range(1, limit + 1):
-        new_nodes = []
-        for v in d.nodes():
-            if timing.node_active(t, v):
-                heads = frozenset(trace_first(buffers[i]) for i in in_edges[v])
-                new_nodes.append(a.step(nodes[v], (heads,)))
+        if t <= len(steps):
+            step = steps[t - 1]
+            nodes = compress(all_nodes, step.nodes)
+            edges = compress(all_edges, step.edges)
+        else:
+            nodes, edges = all_nodes, all_edges
+        for v in nodes:  # reads only v's state and its buffers' heads
+            if not stale[v]:
+                continue
+            key = bits[state[v]][0]
+            for e in into[v]:
+                key |= head_bit[e]
+            q = memo.get(key)
+            if q is None:
+                q = memo[key] = ix.intern(a.step(*ix.decode(key)))
+            if q != state[v]:
+                state[v] = q
+                history[v].append(q)  # the push onto every buffer out of v
             else:
-                new_nodes.append(nodes[v])
-        new_nodes = tuple(new_nodes)
-        new_buffers = []
-        for idx, (_, src, _) in enumerate(order):
-            buf = trace_push(buffers[idx], new_nodes[src])
-            if timing.edge_active(t, idx):
-                buf = trace_pop(buf)
-            new_buffers.append(buf)
-        nodes, buffers = new_nodes, tuple(new_buffers)
-        configs.append(AsyncConfiguration(nodes, buffers, t))
-        if horizon == "auto" and t > len(timing.prefix):
-            key = (nodes, buffers)
-            if key in seen:
-                first = seen[key]
-                return AsyncRunResult(order, tuple(configs[:t]),
-                                      prefix=first, period=t - first)
-            seen[key] = t
-    if horizon != "auto":
-        return AsyncRunResult(order, tuple(configs),
-                              prefix=len(configs) - 1, period=1)
-    raise HorizonExceeded(f"no lasso within {limit} steps")
+                stale[v] = False
+        for e in edges:  # the pop, unless the buffer is a singleton
+            h, trace = head[e] + 1, history[src[e]]
+            if h < len(trace):
+                head[e] = h
+                head_bit[e] = bits[trace[h]][1]
+                stale[dst[e]] = True
+        conf = tuple(state)
+        if auto and t > len(steps):
+            lasso = (conf, tuple(tuple(history[s][h:])
+                                 for s, h in zip(src, head)))
+            first = seen.setdefault(lasso, t)
+            if first != t:
+                period = t - first
+                break
+        ids.append(conf)
+        heads.append(tuple(head))
+    else:
+        if auto:
+            raise HorizonExceeded(f"no lasso within {limit} steps")
+        first, period = len(ids) - 1, 1
+    return AsyncRunResult(order, tuple(ids), tuple(heads),
+                          tuple(map(tuple, history)), ix.names,
+                          prefix=first, period=period)
 
 
 def decide_acceptance_timed(a: DistributedAutomaton, pd: PointedDigraph,
@@ -186,9 +255,7 @@ def decide_acceptance_timed(a: DistributedAutomaton, pd: PointedDigraph,
 
 def timed_accepted_nodes(a: DistributedAutomaton, d: Digraph,
                          timing: Timing) -> frozenset[int]:
-    run = async_run(a, d, timing)
-    return frozenset(v for v in d.nodes()
-                     if run.visited_states(v) & a.accepting)
+    return _accepting_columns(async_run(a, d, timing), a.accepting)
 
 
 @dataclass(frozen=True)
@@ -231,9 +298,23 @@ def timing_to_json_dict(t: Timing) -> dict:
     }
 
 
+def _is_bit_list(row) -> bool:
+    return isinstance(row, list) and row.count(0) + row.count(1) == len(row)
+
+
 def timing_from_json_dict(obj: dict, d: Digraph) -> Timing:
-    order = tuple(d.sorted_edges())
-    steps = tuple(TimingStep(tuple(s["nodes"]), tuple(s["edges"]))
-                  for s in obj["prefix"])
-    return Timing(edge_order=order, prefix=steps,
-                  lossless=bool(obj.get("lossless", False)))
+    order = _edge_order(d)
+    prefix, lossless = obj.get("prefix"), obj.get("lossless", False)
+    if not isinstance(prefix, list):
+        raise TimingError("timing has no prefix list")
+    if not isinstance(lossless, bool):
+        raise TimingError("timing's lossless flag is not a boolean")
+    steps = []
+    for t, s in enumerate(prefix, start=1):
+        if not (isinstance(s, dict) and _is_bit_list(s.get("nodes"))
+                and _is_bit_list(s.get("edges"))):
+            raise TimingError(f"step {t}: nodes and edges must be lists "
+                              f"of 0/1 bits")
+        steps.append(TimingStep(tuple(s["nodes"]), tuple(s["edges"])))
+    _check_node_bits(steps, d.n)
+    return Timing(edge_order=order, prefix=tuple(steps), lossless=lossless)

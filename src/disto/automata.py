@@ -201,6 +201,16 @@ class _Interned:
         return own, tuple(map(frozenset, received))
 
 
+def _interned(a, rels: int) -> _Interned:
+    """The automaton's id table and transition memo for ``rels`` relations,
+    shared by every run of ``a`` on such digraphs (``asyncrun`` included)."""
+    tables = a.__dict__.setdefault("_round_ids", {})
+    ix = tables.get(rels)
+    if ix is None:
+        ix = tables[rels] = _Interned(rels)
+    return ix
+
+
 def _run_rounds(a, d: Digraph, initial: Sequence[str],
                 letters: Sequence[str] | None, horizon, cap: int) -> RunResult:
     """The round loop of synchronous runs (``letters`` None: slot 0 holds
@@ -214,10 +224,7 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
     needs nothing else but a ``__dict__`` for its tables (one per relation
     count), so states may be any hashable values (``formulas.MuEvaluator``
     runs on frozensets)."""
-    tables = a.__dict__.setdefault("_round_ids", {})
-    ix = tables.get(d.rels)
-    if ix is None:
-        ix = tables[d.rels] = _Interned(d.rels)
+    ix = _interned(a, d.rels)
     memo, bits = ix.memo, ix.bits
     slots, stride = d._in_slots, d.rels + 1
     state = list(map(ix.intern, initial))
@@ -289,8 +296,12 @@ def decide_acceptance_sync(a: DistributedAutomaton, pd: PointedDigraph) -> bool:
 def accepted_nodes(a: DistributedAutomaton, d: Digraph) -> frozenset[int]:
     """Bulk variant: the set of nodes whose machine ever visits an
     accepting state, from a single run."""
-    run = sync_run(a, d)
-    hit = {i for i, q in enumerate(run.names) if q in a.accepting}
+    return _accepting_columns(sync_run(a, d), a.accepting)
+
+
+def _accepting_columns(run, accepting) -> frozenset[int]:
+    """The nodes whose column of ``run.ids`` holds an accepting id."""
+    hit = {i for i, q in enumerate(run.names) if q in accepting}
     return frozenset(v for v, column in enumerate(zip(*run.ids))
                      if not hit.isdisjoint(column))
 

@@ -212,22 +212,34 @@ def ts_recognize(ts: TilingSystem, g: Digraph) -> BorderedRun | None:
             return True  # incomplete, checked later
         return quad in ts.tiles
 
-    def place(k: int) -> bool:
-        if k == len(positions):
-            return all(block_ok(i, j) for i in range(h + 1)
-                       for j in range(w + 1))
-        (i, j) = positions[k]
-        for state in ts.states:
-            assignment[(i, j)] = state
+    def search() -> bool:
+        """Depth-first over positions in order, trying states in order;
+        ``choice[k]`` is the index of the next state to try at position k."""
+        choice = [0] * len(positions)
+        k = 0
+        while k >= 0:
+            if k == len(positions):
+                if all(block_ok(i, j) for i in range(h + 1)
+                       for j in range(w + 1)):
+                    return True
+                k -= 1
+                continue
+            (i, j) = positions[k]
+            c = choice[k]
+            if c == len(ts.states):
+                choice[k] = 0
+                assignment.pop((i, j), None)
+                k -= 1
+                continue
+            choice[k] = c + 1
+            assignment[(i, j)] = ts.states[c]
             # blocks whose last-filled corner is (i, j)
             if all(block_ok(bi, bj)
                    for bi in (i - 1, i) for bj in (j - 1, j)):
-                if place(k + 1):
-                    return True
-            del assignment[(i, j)]
+                k += 1
         return False
 
-    if place(0):
+    if search():
         run = _bordered(labels, dict(assignment), h, w)
         if any(b not in ts.tiles for b in run.blocks()):
             raise AssertionError("search returned an invalid run")

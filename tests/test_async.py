@@ -1,16 +1,23 @@
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from disto import automata, zoo
-from disto.asyncrun import (Timing, TimingError, TimingStep, async_run,
-                            decide_acceptance_timed, falsify_consistency,
-                            is_valid_trace, sample_timing,
-                            synchronous_timing, timed_accepted_nodes,
-                            timing_from_json_dict, timing_to_json_dict,
-                            trace_first, trace_last, trace_pop, trace_push)
-from disto.graphs import make
+from disto.asyncrun import (AsyncConfiguration, Timing, TimingError,
+                            TimingStep, async_run, decide_acceptance_timed,
+                            falsify_consistency, is_valid_trace,
+                            sample_timing, synchronous_timing,
+                            timed_accepted_nodes, timing_from_json_dict,
+                            timing_to_json_dict, trace_first, trace_last,
+                            trace_pop, trace_push)
+from disto.automata import (DEFAULT_HORIZON_CAP, DistributedAutomaton,
+                            HorizonExceeded, InitializationError,
+                            UnmatchedTransition)
+from disto.graphs import Digraph, edge_fault, make, subsets
+from disto.mucompile import compile_mu_to_aqda
 
 import gens
 
@@ -149,7 +156,6 @@ def test_multi_relational_rejected():
 
 
 def test_compiled_automaton_timing_independent():
-    from disto.mucompile import compile_mu_to_aqda
     a = compile_mu_to_aqda(zoo.reachability_mu_system())
     rng = random.Random(13)
     for _ in range(6):
@@ -191,7 +197,6 @@ def test_isolated_node_always_consistent():
 
 
 def test_quasi_acyclic_timed_runs_stabilize():
-    from disto.mucompile import compile_mu_to_aqda
     a = compile_mu_to_aqda(zoo.reachability_mu_system())
     rng = random.Random(21)
     for _ in range(8):
@@ -210,3 +215,230 @@ def test_timing_json_roundtrip():
     t = sample_timing(d, 6, lossless=True, seed=8)
     back = timing_from_json_dict(timing_to_json_dict(t), d)
     assert back == t
+
+
+# ---------------------------------------------------------------------------
+# The plain timed loop on name tuples, kept as the reference for async_run.
+
+def _node_active(timing, t, v):
+    if t <= len(timing.prefix):
+        return bool(timing.prefix[t - 1].nodes[v])
+    return True
+
+
+def _edge_active(timing, t, idx):
+    if t <= len(timing.prefix):
+        return bool(timing.prefix[t - 1].edges[idx])
+    return True
+
+
+def reference_async_run(a, d, timing, horizon="auto",
+                        cap=DEFAULT_HORIZON_CAP):
+    """(edge order, configs, prefix, period) of the timed run: one
+    ``frozenset`` of buffer heads per active node and one new trace per
+    edge, every step."""
+    if a.rels != 1:
+        raise ValueError("asynchronous semantics is defined over 1 relation")
+    if d.rels != 1:
+        raise ValueError("asynchronous runs need a 1-relational digraph")
+    order = timing.edge_order
+    if order != tuple(d.sorted_edges()):
+        raise TimingError("timing was built for a different digraph")
+    in_edges = {v: [] for v in d.nodes()}
+    for idx, (_, src, dst) in enumerate(order):
+        in_edges[dst].append(idx)
+
+    nodes = tuple(a.initial_state(d.label(v)) for v in d.nodes())
+    buffers = tuple((a.initial_state(d.label(src)),) for (_, src, _) in order)
+    configs = [AsyncConfiguration(nodes, buffers, 0)]
+    seen = {}
+    limit = cap if horizon == "auto" else min(int(horizon), cap)
+    for t in range(1, limit + 1):
+        new_nodes = []
+        for v in d.nodes():
+            if _node_active(timing, t, v):
+                heads = frozenset(trace_first(buffers[i]) for i in in_edges[v])
+                new_nodes.append(a.step(nodes[v], (heads,)))
+            else:
+                new_nodes.append(nodes[v])
+        new_nodes = tuple(new_nodes)
+        new_buffers = []
+        for idx, (_, src, _) in enumerate(order):
+            buf = trace_push(buffers[idx], new_nodes[src])
+            if _edge_active(timing, t, idx):
+                buf = trace_pop(buf)
+            new_buffers.append(buf)
+        nodes, buffers = new_nodes, tuple(new_buffers)
+        configs.append(AsyncConfiguration(nodes, buffers, t))
+        if horizon == "auto" and t > len(timing.prefix):
+            key = (nodes, buffers)
+            if key in seen:
+                first = seen[key]
+                return order, tuple(configs[:t]), first, t - first
+            seen[key] = t
+    if horizon != "auto":
+        return order, tuple(configs), len(configs) - 1, 1
+    raise HorizonExceeded(f"no lasso within {limit} steps")
+
+
+def _outcome(run, *args, **kwargs):
+    """What a run returns, or the type and message of what it raises."""
+    try:
+        out = run(*args, **kwargs)
+    except (HorizonExceeded, InitializationError, UnmatchedTransition) as e:
+        return type(e), str(e)
+    if isinstance(out, tuple):
+        return out
+    return out.edge_order, out.configs, out.prefix, out.period
+
+
+def _check_against_reference(a, d, timing, rng):
+    want = _outcome(reference_async_run, a, d, timing)
+    assert _outcome(async_run, a, d, timing) == want
+    horizon = rng.randint(0, len(timing.prefix) + 4)
+    assert (_outcome(async_run, a, d, timing, horizon=horizon)
+            == _outcome(reference_async_run, a, d, timing, horizon=horizon))
+    if want[0] is HorizonExceeded or want[0] is not timing.edge_order:
+        return want
+    # the lasso closes at step prefix + period: one less is past the cap
+    closes = want[2] + want[3]
+    cut = _outcome(async_run, a, d, timing, cap=closes - 1)
+    assert cut[0] is HorizonExceeded
+    assert cut == _outcome(reference_async_run, a, d, timing, cap=closes - 1)
+    assert _outcome(async_run, a, d, timing, cap=closes) == want
+    return want
+
+
+def random_timed_automaton(rng, bits, partial):
+    """1-4 states; with ``partial`` some labels have no initial state and
+    some (state, received set) pairs no transition."""
+    states = tuple(f"q{i}" for i in range(rng.randint(1, 4)))
+    labels = ["".join(c) for c in itertools.product("01", repeat=bits)]
+    init = {x: rng.choice(states) for x in labels
+            if not partial or rng.random() < 0.7}
+    table = {(q, s): rng.choice(states) for q in states
+             for s in subsets(states) if not partial or rng.random() < 0.75}
+
+    def delta(q, nvec):
+        try:
+            return table[(q, nvec[0])]
+        except KeyError:
+            raise UnmatchedTransition(
+                f"no rule for {q} with {sorted(nvec[0])}") from None
+
+    return DistributedAutomaton(
+        states=states, rels=1, init=init,
+        accepting=frozenset(q for q in states if rng.random() < 0.4),
+        delta=delta)
+
+
+def random_small_digraph(rng, bits):
+    n = rng.randint(0, 6)
+    p = rng.choice((0.15, 0.4))
+    labels = ["".join(rng.choice("01") for _ in range(bits)) for _ in range(n)]
+    return make(bits, 1, labels, [(1, s, t) for s in range(n)
+                                  for t in range(n) if rng.random() < p])
+
+
+def _random_timing(rng, d, lossless):
+    return sample_timing(d, rng.choice((0, 1, 4, 12)), lossless,
+                         rng.randrange(10 ** 6))
+
+
+@pytest.mark.parametrize("bits,lossless", [(0, True), (0, False),
+                                           (1, True), (1, False)])
+def test_timed_runs_match_reference_loop(bits, lossless):
+    rng = random.Random(100 * bits + lossless)
+    outcomes = set()
+    for k in range(20):
+        a = random_timed_automaton(rng, bits, partial=k % 3 == 0)
+        # several digraphs per automaton: later runs hit a warm memo
+        for _ in range(12):
+            d = random_small_digraph(rng, bits)
+            want = _check_against_reference(a, d, _random_timing(rng, d,
+                                                                 lossless), rng)
+            outcomes.add(want[0] if isinstance(want[0], type) else "ran")
+    assert outcomes >= {"ran", InitializationError, UnmatchedTransition}
+
+
+def test_synchrony_detector_matches_reference_loop():
+    det = zoo.synchrony_detector()
+    rng = random.Random(4)
+    cases = [zoo.synchrony_detector_graph()] * 30
+    cases += [random_small_digraph(rng, 2) for _ in range(30)]
+    for d in cases:
+        _check_against_reference(det, d, _random_timing(
+            rng, d, rng.random() < 0.5), rng)
+
+
+def test_compiled_automata_match_reference_loop():
+    rng = random.Random(6)
+    for _ in range(4):
+        a = compile_mu_to_aqda(gens.random_mu_system(rng, bits=1))
+        for _ in range(6):
+            d = random_small_digraph(rng, 1)
+            _check_against_reference(a, d, _random_timing(
+                rng, d, rng.random() < 0.5), rng)
+
+
+def test_timed_and_synchronous_runs_share_one_memo():
+    a = zoo.reachability_automaton()
+    rng = random.Random(8)
+    for _ in range(10):
+        d = random_small_digraph(rng, 1)
+        sync = automata.sync_run(a, d)
+        table = a._round_ids[1]
+        memo_size = len(table.memo)
+        # a synchronous timing meets exactly the keys of the synchronous run
+        timed = async_run(a, d, synchronous_timing(d))
+        assert a._round_ids[1] is table and len(table.memo) == memo_size
+        # (the timed lasso check starts at step 1, so it may close later)
+        assert tuple(c.node_state for c in timed.configs[:len(sync.configs)]
+                     ) == sync.configs
+        _check_against_reference(a, d, _random_timing(rng, d, False), rng)
+        assert automata.sync_run(a, d).configs == sync.configs
+
+
+def test_timed_run_decodes_columns_and_configs_alike():
+    a = zoo.reachability_automaton()
+    rng = random.Random(10)
+    for _ in range(10):
+        d = random_small_digraph(rng, 1)
+        timing = _random_timing(rng, d, True)
+        run = async_run(a, d, timing)
+        for v in d.nodes():
+            assert run.visited_states(v) == {c.node_state[v]
+                                             for c in run.configs}
+        assert timed_accepted_nodes(a, d, timing) == frozenset(
+            v for v in d.nodes() if run.visited_states(v) & a.accepting)
+
+
+@pytest.mark.parametrize("edge", [(1, -1, 1), (2, 0, 1), (0, 0, 1),
+                                  (1, 0, 5)])
+def test_timed_runs_refuse_faulty_edges(edge):
+    a = zoo.reachability_automaton()
+    d = Digraph(1, 1, ("1", "0"), frozenset({edge}))
+    message = re.escape(edge_fault(d, edge))
+    timing = Timing(edge_order=(edge,), prefix=())
+    for call in (lambda: async_run(a, d, timing),
+                 lambda: decide_acceptance_timed(a, d.at(1), timing),
+                 lambda: synchronous_timing(d),
+                 lambda: sample_timing(d, 3, lossless=True, seed=0),
+                 lambda: timing_from_json_dict({"prefix": []}, d),
+                 lambda: falsify_consistency(a, d, samples=2)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("node_bits", [(1,), (1, 1, 1)])
+def test_timed_runs_refuse_a_wrong_node_bit_count(node_bits):
+    a = zoo.reachability_automaton()
+    d = make(1, 1, ["1", "0"], [(1, 0, 1)])
+    good = TimingStep(nodes=(1, 1), edges=(1,))
+    timing = Timing(edge_order=tuple(d.sorted_edges()),
+                    prefix=(good, TimingStep(nodes=node_bits, edges=(0,))))
+    with pytest.raises(TimingError, match="step 2: wrong node-bit count"):
+        async_run(a, d, timing)
+    obj = timing_to_json_dict(timing)
+    with pytest.raises(TimingError, match="step 2: wrong node-bit count"):
+        timing_from_json_dict(obj, d)

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disto import automata, graphs, zoo
 from disto.cli import main, report_format
@@ -386,3 +391,89 @@ def test_accept_refuses_a_json_list(capsys, fig_automaton_file,
     assert code == 1 and out["verdict"] == "input-error"
     assert out["details"]["message"] == (
         f"{bad}: top level is not a JSON object")
+
+
+@pytest.mark.parametrize("edge", [(1, -1, 1), (2, 0, 1), (0, 0, 1),
+                                  (1, 0, 5)])
+def test_timed_verbs_refuse_faulty_edges(capsys, fig_automaton_file,
+                                         tmp_path, edge):
+    pd = graphs.make(1, 1, ["1", "0"], [edge], point=1)
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(graphs.to_json_dict(pd)))
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps({"lossless": True, "prefix": [
+        {"nodes": [1, 0], "edges": [1]}]}))
+    message = "ValueError: " + graphs.edge_fault(pd.digraph, edge)
+    for argv in (("accept-timed", fig_automaton_file, str(g), str(t)),
+                 ("falsify-async", fig_automaton_file, str(g),
+                  "--samples", "5", "--seed", "0")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1 and out["verdict"] == "input-error"
+        assert out["details"]["message"] == message
+
+
+@pytest.mark.parametrize("lossless", [True, False])
+@pytest.mark.parametrize("node_bits", [[1], [1, 1, 1]])
+def test_accept_timed_refuses_a_wrong_node_bit_count(
+        capsys, fig_automaton_file, edge_graph_file, tmp_path, lossless,
+        node_bits):
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps({"lossless": lossless, "prefix": [
+        {"nodes": [1, 1], "edges": [0]}, {"nodes": node_bits, "edges": [1]}]}))
+    code, out = run_cli(capsys, "accept-timed", fig_automaton_file,
+                        edge_graph_file, str(t))
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"] == (
+        "TimingError: step 2: wrong node-bit count")
+
+
+@pytest.mark.parametrize("timing,message", [
+    ({"prefix": {"nodes": [1, 1]}}, "timing has no prefix list"),
+    ({"lossless": "false", "prefix": []},
+     "timing's lossless flag is not a boolean"),
+    ({"prefix": [{"nodes": [1, 2], "edges": [0]}]},
+     "step 1: nodes and edges must be lists of 0/1 bits"),
+    ({"prefix": [{"nodes": [1, 1]}]},
+     "step 1: nodes and edges must be lists of 0/1 bits")])
+def test_accept_timed_refuses_a_malformed_timing(
+        capsys, fig_automaton_file, edge_graph_file, tmp_path, timing,
+        message):
+    t = tmp_path / "t.json"
+    t.write_text(json.dumps(timing))
+    code, out = run_cli(capsys, "accept-timed", fig_automaton_file,
+                        edge_graph_file, str(t))
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"] == "TimingError: " + message
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+_BITS = st.lists(st.sampled_from([0, 1]) | _JSON, max_size=4)
+_STEP = (st.fixed_dictionaries({"nodes": _BITS, "edges": _BITS})
+         | st.fixed_dictionaries({"nodes": _BITS}) | _JSON)
+_TIMING = st.fixed_dictionaries(
+    {}, optional={"lossless": _JSON,
+                  "prefix": st.lists(_STEP, max_size=4) | _JSON})
+
+
+@settings(max_examples=200, deadline=None)
+@given(timing=_TIMING)
+def test_accept_timed_reports_every_mutated_timing(timing):
+    pd = graphs.make(1, 1, ["1", "0"], [(1, 0, 1)], point=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"a.json": automata.to_json_dict(zoo.reachability_automaton()),
+                 "g.json": graphs.to_json_dict(pd), "t.json": timing}
+        for name, obj in files.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                json.dump(obj, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["accept-timed", *(os.path.join(tmp, name)
+                                          for name in files)])
+    report = json.loads(out.getvalue())  # exactly one JSON document
+    assert report["schema"] == "disto/1" and code in (0, 1, 2)
+    assert (code == 1) == (report["verdict"] == "input-error")

@@ -8,6 +8,7 @@ import pytest
 
 from disto import graphs, zoo
 from disto.alternating import decide_acceptance_alt
+from disto.asyncrun import async_run, sample_timing
 from disto.automata import ForgetfulAutomaton, forgetful_run, sync_run
 from disto.formulas import MuEvaluator
 from disto.graphs import (Digraph, OracleBoundError, canonical_form, dipath,
@@ -212,7 +213,8 @@ def test_adjacency_does_not_keep_digraphs_alive():
     game = zoo.three_col_aldag()
     d = make(1, 1, ["1", "0", "0"], [(1, 0, 1), (1, 1, 2)])
     d0 = make(0, 1, ["", ""], [(1, 0, 1)])
-    kept = [sync_run(a, d), forgetful_run(fa, d)]
+    kept = [sync_run(a, d), forgetful_run(fa, d),
+            async_run(a, d, sample_timing(d, 4, lossless=True, seed=2))]
     assert ev.eval(d) == zoo.reachability_oracle(d) == {0, 1, 2}
     assert decide_acceptance_alt(game, d0)
     assert d.in_neighbors(1, 2) == (1,) and d.out_neighbors(1, 0) == (1,)
@@ -225,6 +227,10 @@ def test_adjacency_does_not_keep_digraphs_alive():
     # the kept results decode without their digraph
     assert kept[0].configs[0] == ("1", "2", "2")
     assert kept[1].configs == (("w",) * 3, ("w", "s", "s"))
+    assert kept[2].configs[0].node_state == ("1", "2", "2")
+    assert kept[2].configs[0].buffers == (("1",), ("2",))
+    assert kept[2].visited_states(2) == {c.node_state[2]
+                                         for c in kept[2].configs}
 
 
 def test_game_does_not_keep_digraphs_alive():

@@ -122,6 +122,34 @@ def test_recognize_agrees_with_bruteforce_random_systems():
                     ts_recognize_bruteforce(ts, g)
 
 
+def test_recognize_large_grids_without_recursion():
+    ts = zoo.even_width_tiling_system()
+    run = ts_recognize(ts, grid(40, 40))
+    assert run is not None and (run.height, run.width) == (40, 40)
+    assert all(b in ts.tiles for b in run.blocks())
+    assert ts_recognize(ts, grid(40, 39)) is None
+
+
+def test_recognize_agrees_with_bruteforce_labeled_three_states():
+    rng = random.Random(91)
+    states = ("A", "B", "C")
+    base = zoo.all_blocks_tiling_system(states=states, bits=1)
+    systems = [TilingSystem(bits=1, states=(), tiles=frozenset())]
+    for keep in (0.5, 0.6, 0.7, 0.8) * 3:
+        tiles = frozenset(t for t in base.tiles if rng.random() < keep)
+        systems.append(TilingSystem(bits=1, states=states, tiles=tiles))
+    verdicts = set()
+    for ts in systems:
+        for h, w in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2)):
+            labels = ["".join(rng.choice("01")) for _ in range(h * w)]
+            g = grid(h, w, labels=labels)
+            run = ts_recognize(ts, g)
+            assert (run is not None) == ts_recognize_bruteforce(ts, g)
+            assert run is None or all(b in ts.tiles for b in run.blocks())
+            verdicts.add(run is not None)
+    assert verdicts == {True, False}
+
+
 def test_monotone_in_tiles():
     rng = random.Random(91)
     base = zoo.all_blocks_tiling_system(states=("A", "B"))
