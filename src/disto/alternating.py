@@ -22,7 +22,8 @@ from typing import Callable, Iterable
 from . import formulas as fm
 from .automata import (NVec, RuleDelta, UnmatchedTransition, _Interned,
                        _rule_from_json, _rule_json, all_nvecs)
-from .graphs import Digraph, OracleBoundError, enumerate_digraphs
+from .graphs import (Digraph, OracleBoundError, _bitstrings,
+                     enumerate_digraphs)
 
 GAME_SUCCESSOR_CAP = 200_000
 ENUM_LIMIT = 16  # max |Q| * rels for exhaustive validation
@@ -635,7 +636,7 @@ def project(a: AltAutomaton, mapping: dict[str, str]) -> AltAutomaton:
     width = {len(lab) for lab in mapping.values()}
     if len(width) != 1:
         raise AltError("projection image labels of mixed width")
-    out_labels = _labels(width.pop())
+    out_labels = _bitstrings(width.pop())
     preimage: dict[str, list[str]] = {lab: [] for lab in out_labels}
     for src, dst in sorted(mapping.items()):
         preimage[dst].append(src)
@@ -720,16 +721,12 @@ def apply_closure(kind: str, a: AltAutomaton, b: AltAutomaton | None = None,
 # ---------------------------------------------------------------------------
 # MSO sentences -> alternating automata (structural induction)
 
-def _labels(width: int) -> list[str]:
-    return ["".join(b) for b in itertools.product("01", repeat=width)]
-
-
 def _trivial_automaton(accept_all: bool, bits: int, rels: int) -> AltAutomaton:
     ok = ("ok",)
     acc = explicit({ok}) if accept_all else ExplicitSets(frozenset())
     return AltAutomaton(
         states=(ok,), kind={ok: "P"}, rels=rels,
-        init={lab: ok for lab in _labels(bits)},
+        init={lab: ok for lab in _bitstrings(bits)},
         delta=lambda q, n: frozenset({q}), accepting=acc,
         succ_map={ok: frozenset({ok})})
 
@@ -741,7 +738,7 @@ def _local_check_automaton(check: Callable[[str], bool], bits: int,
     good, bad = ("good",), ("bad",)
     return AltAutomaton(
         states=(good, bad), kind={good: "P", bad: "P"}, rels=rels,
-        init={lab: (good if check(lab) else bad) for lab in _labels(bits)},
+        init={lab: (good if check(lab) else bad) for lab in _bitstrings(bits)},
         delta=lambda q, n: frozenset({q}),
         accepting=explicit({good}),
         succ_map={good: frozenset({good}), bad: frozenset({bad})})
@@ -774,7 +771,7 @@ def _edge_check_automaton(xbit: int, ybit: int, rel: int, bits: int,
     succ.update({good: frozenset({good}), bad: frozenset({bad})})
     return AltAutomaton(
         states=states, kind=kind, rels=rels,
-        init={lab: init_state(lab) for lab in _labels(bits)},
+        init={lab: init_state(lab) for lab in _bitstrings(bits)},
         delta=delta, accepting=explicit({good}), succ_map=succ)
 
 
@@ -799,7 +796,7 @@ def _exactly_one_automaton(bit: int, bits: int, rels: int) -> AltAutomaton:
     return AltAutomaton(
         states=states, kind=kind, rels=rels,
         init={lab: (u_has if lab[bit] == "1" else u_not)
-              for lab in _labels(bits)},
+              for lab in _bitstrings(bits)},
         delta=delta,
         accepting=explicit({m3}, {m4}, {m3, n}, {m4, n}),
         succ_map=succ)
@@ -809,7 +806,7 @@ def _project_out(a: AltAutomaton, syms: tuple, sym: str,
                  base_bits: int) -> AltAutomaton:
     pos = base_bits + syms.index(sym)
     mapping = {lab: lab[:pos] + lab[pos + 1:]
-               for lab in _labels(base_bits + len(syms))}
+               for lab in _bitstrings(base_bits + len(syms))}
     return project(a, mapping)
 
 
@@ -846,7 +843,7 @@ def _compile(f, syms: tuple, bits: int, rels: int) -> AltAutomaton:
             raise AltError("position atoms are not part of the MSO kernel")
         pa = _bitpos(width_syms, f.at, bits)
         idx = fm.label_constant_index(f.setsym)
-        if idx is not None and idx <= bits:
+        if idx is not None and 1 <= idx <= bits:
             pX = idx - 1
         else:
             pX = _bitpos(width_syms, f.setsym, bits)
@@ -856,6 +853,9 @@ def _compile(f, syms: tuple, bits: int, rels: int) -> AltAutomaton:
     if isinstance(f, fm.RelAtom):
         if len(f.args) != 2:
             raise AltError("only binary relation atoms occur on digraphs")
+        if not 1 <= f.rel <= rels:
+            raise AltError(f"relation index {f.rel} out of range for "
+                           f"{rels} relation(s)")
         px = _bitpos(width_syms, f.args[0], bits)
         py = _bitpos(width_syms, f.args[1], bits)
         return _edge_check_automaton(px, py, f.rel, bits + len(syms), rels)

@@ -72,6 +72,9 @@ class Timing:
                 raise TimingError(f"step {t}: wrong edge-bit count")
             if self.lossless:
                 for bit, (_, _, dst) in zip(step.edges, self.edge_order):
+                    if bit and not 0 <= dst < len(step.nodes):
+                        raise TimingError(f"step {t}: no node bit for the "
+                                          f"target {dst} of an active edge")
                     if bit and not step.nodes[dst]:
                         raise TimingError(
                             f"step {t}: active edge into inactive node {dst} "

@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .automata import DEFAULT_HORIZON_CAP, _run_rounds
 from .graphs import Digraph, OracleBoundError, PointedDigraph, subsets
 
 MSO_NODE_BOUND = 6
+# Deepest parenthesis nesting the reader accepts: well below the interpreter's
+# recursion limit, so that the recursive walks over a parsed formula fit.
+MAX_NESTING = 100
 
 
 class EvalError(Exception):
@@ -153,6 +156,48 @@ class ForallSet:
 
 Formula = object
 
+# Field kinds of the S-expression syntax.  A form is (<op> <field> ...), its
+# fields in dataclass field order; each kind is read and printed one way.
+_SYM = "a symbol"
+_OPT_SYM = "an optional symbol"  # absent: the evaluation position
+_REL = "a relation index"
+_OPT_REL = "an optional relation index"  # absent: relation 1
+_SYMS = "two or more symbols"
+_FORM = "a formula"
+_FORMS = "formulas"
+_FORMS1 = "one or more formulas"
+
+# class -> (operator, field kinds, kernel feature).  The one table of the
+# syntax: the reader, the printer and the structural walks all read it.
+_SYNTAX = {
+    Top: ("top", (), None),
+    Bot: ("bot", (), None),
+    Is: ("is", (_SYM,), "is"),
+    In: ("in", (_SYM, _OPT_SYM), "in-pos"),  # "in-at" with a node symbol
+    Eq: ("eq", (_SYM, _SYM), "eq"),
+    RelAtom: ("rel", (_REL, _SYMS), "rel"),
+    Not: ("not", (_FORM,), None),
+    Or: ("or", (_FORMS,), None),
+    And: ("and", (_FORMS,), None),
+    Imp: ("imp", (_FORM, _FORM), None),
+    Dia: ("dia", (_OPT_REL, _FORMS1), "dia"),
+    BDia: ("bdia", (_OPT_REL, _FORMS1), "bdia"),
+    GDia: ("gdia", (_FORM,), "gdia"),
+    Box: ("box", (_OPT_REL, _FORMS1), "dia"),
+    BBox: ("bbox", (_OPT_REL, _FORMS1), "bdia"),
+    GBox: ("gbox", (_FORM,), "gdia"),
+    ExistsNode: ("exists", (_SYM, _FORM), "exists-node"),
+    ForallNode: ("forall", (_SYM, _FORM), "exists-node"),
+    ExistsSet: ("exists-set", (_SYM, _FORM), "exists-set"),
+    ForallSet: ("forall-set", (_SYM, _FORM), "exists-set"),
+}
+_BY_OP = {op: cls for cls, (op, _, _) in _SYNTAX.items()}
+# class -> ((field name, kind), ...)
+_FIELDS = {cls: tuple(zip((fl.name for fl in fields(cls)), kinds))
+           for cls, (_, kinds, _) in _SYNTAX.items()}
+
+_MODALITIES = (Dia, BDia, Box, BBox)
+
 _LABEL_CONST = re.compile(r"^P(\d+)$")
 
 
@@ -162,40 +207,47 @@ def label_constant_index(sym: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
+def _fields_of(f: Formula) -> tuple:
+    try:
+        return _FIELDS[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+
+
+def _children(f: Formula) -> list:
+    """The direct subformulas of ``f``, in field order."""
+    out = []
+    for name, kind in _fields_of(f):
+        if kind == _FORM:
+            out.append(getattr(f, name))
+        elif kind in (_FORMS, _FORMS1):
+            out.extend(getattr(f, name))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Free symbols and kernel classes
 
 def free_symbols(f: Formula) -> frozenset[str]:
     """Free node and set symbols, with the evaluation position written 'pos'."""
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
-    if isinstance(f, Is):
-        return frozenset({"pos", f.sym})
-    if isinstance(f, In):
-        return frozenset({f.setsym, "pos" if f.at is None else f.at})
-    if isinstance(f, Eq):
-        return frozenset({f.a, f.b})
-    if isinstance(f, RelAtom):
-        return frozenset(f.args)
-    if isinstance(f, Not):
-        return free_symbols(f.arg)
-    if isinstance(f, (Or, And)):
-        out = frozenset()
-        for g in f.args:
-            out |= free_symbols(g)
-        return out
-    if isinstance(f, Imp):
-        return free_symbols(f.left) | free_symbols(f.right)
-    if isinstance(f, (Dia, BDia, Box, BBox)):
-        out = frozenset({"pos"})
-        for g in f.args:
-            out |= free_symbols(g)
-        return out
-    if isinstance(f, (GDia, GBox)):
-        return free_symbols(f.arg) - {"pos"}
     if isinstance(f, (ExistsNode, ForallNode, ExistsSet, ForallSet)):
         return free_symbols(f.body) - {f.sym}
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, (GDia, GBox)):
+        return free_symbols(f.arg) - {"pos"}
+    out = set()
+    for name, kind in _fields_of(f):
+        value = getattr(f, name)
+        if kind == _SYM:
+            out.add(value)
+        elif kind == _OPT_SYM:
+            out.add("pos" if value is None else value)
+        elif kind == _SYMS:
+            out.update(value)
+    if isinstance(f, (Is,) + _MODALITIES):
+        out.add("pos")
+    for g in _children(f):
+        out |= free_symbols(g)
+    return frozenset(out)
 
 
 _MODAL_ATOMS = frozenset({"is", "in-pos"})
@@ -216,42 +268,15 @@ KERNEL_FEATURES["MSO"] = KERNEL_FEATURES["MSO(FO)"]
 
 
 def features(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
-    if isinstance(f, Is):
-        return frozenset({"is"})
-    if isinstance(f, In):
-        return frozenset({"in-pos" if f.at is None else "in-at"})
-    if isinstance(f, Eq):
-        return frozenset({"eq"})
-    if isinstance(f, RelAtom):
-        return frozenset({"rel"})
-    if isinstance(f, Not):
-        return features(f.arg)
-    if isinstance(f, (Or, And)):
-        out = frozenset()
-        for g in f.args:
-            out |= features(g)
-        return out
-    if isinstance(f, Imp):
-        return features(f.left) | features(f.right)
-    if isinstance(f, (Dia, Box)):
-        out = frozenset({"dia"})
-        for g in f.args:
-            out |= features(g)
-        return out
-    if isinstance(f, (BDia, BBox)):
-        out = frozenset({"bdia"})
-        for g in f.args:
-            out |= features(g)
-        return out
-    if isinstance(f, (GDia, GBox)):
-        return frozenset({"gdia"}) | features(f.arg)
-    if isinstance(f, (ExistsNode, ForallNode)):
-        return frozenset({"exists-node"}) | features(f.body)
-    if isinstance(f, (ExistsSet, ForallSet)):
-        return frozenset({"exists-set"}) | features(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    out = set()
+    for g in _children(f):
+        out |= features(g)
+    feature = _SYNTAX[type(f)][2]
+    if isinstance(f, In) and f.at is not None:
+        feature = "in-at"
+    if feature is not None:
+        out.add(feature)
+    return frozenset(out)
 
 
 def check_kernel(f: Formula, kernel: str) -> None:
@@ -294,7 +319,7 @@ def _node(env: dict, sym: str) -> int:
 
 def _in_set(ctx: _Ctx, env: dict, setsym: str, v: int) -> bool:
     idx = label_constant_index(setsym)
-    if idx is not None and idx <= ctx.d.bits:
+    if idx is not None and 1 <= idx <= ctx.d.bits:
         return ctx.d.label(v)[idx - 1] == "1"
     try:
         return v in env[setsym]
@@ -325,20 +350,17 @@ def _holds(f: Formula, ctx: _Ctx, env: dict) -> bool:
         return all(_holds(g, ctx, env) for g in f.args)
     if isinstance(f, Imp):
         return (not _holds(f.left, ctx, env)) or _holds(f.right, ctx, env)
-    if isinstance(f, (Dia, BDia)):
+    if isinstance(f, _MODALITIES):
         if len(f.args) != 1:
-            raise EvalError("diamonds over binary relations take one argument")
+            raise EvalError("modalities over binary relations take one "
+                            "argument")
+        if not 1 <= f.rel <= d.rels:
+            raise EvalError(f"relation index {f.rel} out of range")
         pos = _node(env, "pos")
-        succ = (d.out_neighbors(f.rel, pos) if isinstance(f, Dia)
+        succ = (d.out_neighbors(f.rel, pos) if isinstance(f, (Dia, Box))
                 else d.in_neighbors(f.rel, pos))
-        return any(_holds(f.args[0], ctx, {**env, "pos": u}) for u in succ)
-    if isinstance(f, (Box, BBox)):
-        if len(f.args) != 1:
-            raise EvalError("boxes over binary relations take one argument")
-        pos = _node(env, "pos")
-        succ = (d.out_neighbors(f.rel, pos) if isinstance(f, Box)
-                else d.in_neighbors(f.rel, pos))
-        return all(_holds(f.args[0], ctx, {**env, "pos": u}) for u in succ)
+        combine = any if isinstance(f, (Dia, BDia)) else all
+        return combine(_holds(f.args[0], ctx, {**env, "pos": u}) for u in succ)
     if isinstance(f, GDia):
         return any(_holds(f.arg, ctx, {**env, "pos": u}) for u in d.nodes())
     if isinstance(f, GBox):
@@ -573,19 +595,8 @@ def eval_mu(system: MuSystem, d: Digraph) -> frozenset[int]:
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Top, Bot, In, Is, Eq, RelAtom)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.arg)
-    if isinstance(f, (Or, And)):
-        return max((modal_depth(g) for g in f.args), default=0)
-    if isinstance(f, Imp):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, (Dia, BDia, Box, BBox)):
-        return 1 + max((modal_depth(g) for g in f.args), default=0)
-    if isinstance(f, (GDia, GBox)):
-        return 1 + modal_depth(f.arg)
-    raise TypeError(f"not a formula: {f!r}")
+    depth = max(map(modal_depth, _children(f)), default=0)
+    return depth + 1 if isinstance(f, _MODALITIES + (GDia, GBox)) else depth
 
 
 def flatten_mu(system: MuSystem) -> MuSystem:
@@ -697,33 +708,40 @@ class MuEvaluator:
 _TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 
-def _tokenize(text: str):
-    pos = 0
+def _read(text: str) -> list | str:
+    """The one S-expression in ``text`` as nested lists of symbols, read in
+    one pass over the tokens; nesting deeper than MAX_NESTING is refused."""
+    top = []
+    stack = []  # the open lists, each with the offset of its '('
     for m in _TOKEN.finditer(text):
-        gap = text[pos:m.start()]
-        if gap.strip():
-            raise ParseError(f"stray characters at offset {pos}")
-        pos = m.end()
-        yield m.group(), m.start()
-    if text[pos:].strip():
-        raise ParseError(f"stray characters at offset {pos}")
-
-
-def _read(tokens: list) -> object:
-    if not tokens:
+        tok, at = m.group(), m.start()
+        if top:
+            raise ParseError(f"trailing input at offset {at}")
+        if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} at "
+                                 f"offset {at}")
+            stack.append(([], at))
+            continue
+        if tok == ")":
+            if not stack:
+                raise ParseError(f"unexpected ')' at offset {at}")
+            tok = stack.pop()[0]
+        (stack[-1][0] if stack else top).append(tok)
+    if stack:
+        raise ParseError(f"unclosed '(' at offset {stack[-1][1]}")
+    if not top:
         raise ParseError("unexpected end of input")
-    tok, at = tokens.pop(0)
-    if tok == "(":
-        items = []
-        while tokens and tokens[0][0] != ")":
-            items.append(_read(tokens))
-        if not tokens:
-            raise ParseError(f"unclosed '(' at offset {at}")
-        tokens.pop(0)
-        return items
-    if tok == ")":
-        raise ParseError(f"unexpected ')' at offset {at}")
-    return tok
+    return top[0]
+
+
+def _rel_index(tok) -> int | None:
+    """The relation index ``tok`` spells, or None if it is not a number."""
+    if not (isinstance(tok, str) and tok.isdigit()):
+        return None
+    if not tok.isdecimal() or int(tok) < 1:
+        raise ParseError(f"relation indices are 1, 2, ..., got {tok!r}")
+    return int(tok)
 
 
 def _sexpr_to_formula(x) -> Formula:
@@ -732,106 +750,65 @@ def _sexpr_to_formula(x) -> Formula:
         return In(x)
     if not x:
         raise ParseError("empty form")
-    head = x[0]
-    rest = x[1:]
-    if head == "top":
-        return Top()
-    if head == "bot":
-        return Bot()
-    if head == "is":
-        return Is(_sym(rest, 1)[0])
-    if head == "in":
-        if len(rest) == 1:
-            return In(rest[0])
-        a, b = _sym(rest, 2)
-        return In(a, at=b)
-    if head == "eq":
-        a, b = _sym(rest, 2)
-        return Eq(a, b)
-    if head == "rel":
-        if len(rest) < 3:
-            raise ParseError("(rel i x0 x1 ...) needs an index and arguments")
-        return RelAtom(_int(rest[0]), tuple(rest[1:]))
-    if head == "not":
-        return Not(_one(rest))
-    if head == "or":
-        return Or(tuple(_sexpr_to_formula(r) for r in rest))
-    if head == "and":
-        return And(tuple(_sexpr_to_formula(r) for r in rest))
-    if head == "imp":
-        if len(rest) != 2:
-            raise ParseError("(imp f g) takes two formulas")
-        return Imp(_sexpr_to_formula(rest[0]), _sexpr_to_formula(rest[1]))
-    if head in ("dia", "bdia", "box", "bbox"):
-        rel, forms = _modal_args(rest)
-        cls = {"dia": Dia, "bdia": BDia, "box": Box, "bbox": BBox}[head]
-        return cls(rel, forms)
-    if head == "gdia":
-        return GDia(_one(rest))
-    if head == "gbox":
-        return GBox(_one(rest))
-    if head == "exists":
-        return ExistsNode(_binder(rest), _sexpr_to_formula(rest[1]))
-    if head == "forall":
-        return ForallNode(_binder(rest), _sexpr_to_formula(rest[1]))
-    if head == "exists-set":
-        return ExistsSet(_binder(rest), _sexpr_to_formula(rest[1]))
-    if head == "forall-set":
-        return ForallSet(_binder(rest), _sexpr_to_formula(rest[1]))
-    if head == "mu":
-        raise ParseError("(mu ...) is a system, use parse_mu")
-    raise ParseError(f"unknown operator {head!r}")
+    head, rest = x[0], x[1:]
+    cls = _BY_OP.get(head) if isinstance(head, str) else None
+    if cls is None:
+        if head == "mu":
+            raise ParseError("(mu ...) is a system, use parse_mu")
+        raise ParseError(f"unknown operator {head!r}")
+    values, i = [], 0  # i: the next unread item of rest
+    for _, kind in _FIELDS[cls]:
+        item = rest[i] if i < len(rest) else None
+        if kind in (_REL, _OPT_REL):
+            index = _rel_index(item)
+            if index is None and kind == _REL:
+                raise _expected(head, kind, item)
+            values.append(index or 1)
+            i += index is not None
+        elif kind == _SYM:
+            if not isinstance(item, str):
+                raise _expected(head, kind, item)
+            values.append(item)
+            i += 1
+        elif kind == _OPT_SYM:
+            values.append(item if isinstance(item, str) else None)
+            i += isinstance(item, str)
+        elif kind == _FORM:
+            if item is None:
+                raise _expected(head, kind, item)
+            values.append(_sexpr_to_formula(item))
+            i += 1
+        else:  # the rest of the form
+            items, i = rest[i:], len(rest)
+            if kind == _SYMS:
+                if len(items) < 2 or not all(isinstance(y, str)
+                                             for y in items):
+                    raise _expected(head, kind, items)
+                values.append(tuple(items))
+            else:
+                if kind == _FORMS1 and not items:
+                    raise _expected(head, kind, items)
+                values.append(tuple(map(_sexpr_to_formula, items)))
+    if i < len(rest):
+        raise ParseError(f"({head} ...) has extra arguments {rest[i:]!r}")
+    return cls(*values)
 
 
-def _sym(rest, k):
-    if len(rest) != k or any(not isinstance(r, str) for r in rest):
-        raise ParseError(f"expected {k} symbol(s), got {rest!r}")
-    return rest
-
-
-def _int(tok) -> int:
-    if not isinstance(tok, str) or not tok.isdigit():
-        raise ParseError(f"expected a relation index, got {tok!r}")
-    return int(tok)
-
-
-def _one(rest) -> Formula:
-    if len(rest) != 1:
-        raise ParseError(f"expected one formula, got {len(rest)}")
-    return _sexpr_to_formula(rest[0])
-
-
-def _binder(rest) -> str:
-    if len(rest) != 2 or not isinstance(rest[0], str):
-        raise ParseError("binder form is (<op> <symbol> <formula>)")
-    return rest[0]
-
-
-def _modal_args(rest):
-    if rest and isinstance(rest[0], str) and rest[0].isdigit():
-        rel, forms = int(rest[0]), rest[1:]
-    else:
-        rel, forms = 1, rest
-    if not forms:
-        raise ParseError("modalities take at least one formula")
-    return rel, tuple(_sexpr_to_formula(r) for r in forms)
+def _expected(head: str, kind: str, got) -> ParseError:
+    if got is None:
+        return ParseError(f"({head} ...) is missing {kind}")
+    return ParseError(f"({head} ...) expects {kind}, got {got!r}")
 
 
 def parse_formula(text: str, kernel: str | None = None) -> Formula:
-    tokens = list(_tokenize(text))
-    f = _sexpr_to_formula(_read(tokens))
-    if tokens:
-        raise ParseError(f"trailing input at offset {tokens[0][1]}")
+    f = _sexpr_to_formula(_read(text))
     if kernel is not None:
         check_kernel(f, kernel)
     return f
 
 
 def parse_mu(text: str, bits: int | None = None) -> MuSystem:
-    tokens = list(_tokenize(text))
-    x = _read(tokens)
-    if tokens:
-        raise ParseError(f"trailing input at offset {tokens[0][1]}")
+    x = _read(text)
     if not isinstance(x, list) or not x or x[0] != "mu" or len(x) != 2:
         raise ParseError("expected (mu ((X f) ...))")
     pairs = x[1]
@@ -854,54 +831,38 @@ def parse_mu(text: str, bits: int | None = None) -> MuSystem:
 def _set_constants(f: Formula, variables: set[str]):
     if isinstance(f, In) and f.at is None and f.setsym not in variables:
         yield f.setsym
-    elif isinstance(f, Not):
-        yield from _set_constants(f.arg, variables)
-    elif isinstance(f, (Or, And)):
-        for g in f.args:
-            yield from _set_constants(g, variables)
-    elif isinstance(f, (BDia, BBox)):
-        for g in f.args:
-            yield from _set_constants(g, variables)
+    for g in _children(f):
+        yield from _set_constants(g, variables)
+
+
+def _print_all(fs) -> str:
+    return " ".join(map(print_formula, fs))
+
+
+# field kinds -> printer of (operator, formula); the classes that share a
+# layout share their field names
+_PRINTERS = {
+    (): lambda op, f: f"({op})",
+    (_SYM,): lambda op, f: f"({op} {f.sym})",
+    (_SYM, _OPT_SYM): lambda op, f: (f"({op} {f.setsym})" if f.at is None
+                                     else f"({op} {f.setsym} {f.at})"),
+    (_SYM, _SYM): lambda op, f: f"({op} {f.a} {f.b})",
+    (_REL, _SYMS): lambda op, f: f"({op} {f.rel} {' '.join(f.args)})",
+    (_FORM,): lambda op, f: f"({op} {print_formula(f.arg)})",
+    (_FORMS,): lambda op, f: f"({op} {_print_all(f.args)})",
+    (_FORM, _FORM): lambda op, f: (f"({op} {print_formula(f.left)} "
+                                   f"{print_formula(f.right)})"),
+    (_OPT_REL, _FORMS1): lambda op, f: f"({op} {f.rel} {_print_all(f.args)})",
+    (_SYM, _FORM): lambda op, f: f"({op} {f.sym} {print_formula(f.body)})",
+}
 
 
 def print_formula(f: Formula) -> str:
-    if isinstance(f, Top):
-        return "(top)"
-    if isinstance(f, Bot):
-        return "(bot)"
-    if isinstance(f, Is):
-        return f"(is {f.sym})"
-    if isinstance(f, In):
-        return f"(in {f.setsym})" if f.at is None else f"(in {f.setsym} {f.at})"
-    if isinstance(f, Eq):
-        return f"(eq {f.a} {f.b})"
-    if isinstance(f, RelAtom):
-        return f"(rel {f.rel} {' '.join(f.args)})"
-    if isinstance(f, Not):
-        return f"(not {print_formula(f.arg)})"
-    if isinstance(f, Or):
-        return f"(or {' '.join(print_formula(g) for g in f.args)})"
-    if isinstance(f, And):
-        return f"(and {' '.join(print_formula(g) for g in f.args)})"
-    if isinstance(f, Imp):
-        return f"(imp {print_formula(f.left)} {print_formula(f.right)})"
-    if isinstance(f, (Dia, BDia, Box, BBox)):
-        op = {Dia: "dia", BDia: "bdia", Box: "box", BBox: "bbox"}[type(f)]
-        inner = " ".join(print_formula(g) for g in f.args)
-        return f"({op} {f.rel} {inner})"
-    if isinstance(f, GDia):
-        return f"(gdia {print_formula(f.arg)})"
-    if isinstance(f, GBox):
-        return f"(gbox {print_formula(f.arg)})"
-    if isinstance(f, ExistsNode):
-        return f"(exists {f.sym} {print_formula(f.body)})"
-    if isinstance(f, ForallNode):
-        return f"(forall {f.sym} {print_formula(f.body)})"
-    if isinstance(f, ExistsSet):
-        return f"(exists-set {f.sym} {print_formula(f.body)})"
-    if isinstance(f, ForallSet):
-        return f"(forall-set {f.sym} {print_formula(f.body)})"
-    raise TypeError(f"not a formula: {f!r}")
+    try:
+        op, kinds, _ = _SYNTAX[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+    return _PRINTERS[kinds](op, f)
 
 
 def print_mu(system: MuSystem) -> str:

@@ -519,18 +519,15 @@ def _compositions(total: int, parts: int):
 
 
 def enumerate_ordered_ditrees(max_nodes: int, bits: int = 0, arity: int = 2,
-                              max_height: int | None = None,
                               safety_bound: int = ENUM_SAFETY_BOUND
                               ) -> Iterator[PointedDigraph]:
     """All labeled pointed ordered ditrees (relation i = i-th child edge,
     pointing toward the parent) with <= max_nodes nodes."""
-    if max_nodes > safety_bound and max_height is None:
+    if max_nodes > safety_bound:
         raise OracleBoundError("ordered ditree enumeration bound exceeded")
     for n in range(1, max_nodes + 1):
         for shape in _ordered_shapes(n, arity):
             tree = _shape_to_tree(shape, bits, arity)
-            if max_height is not None and _tree_height(shape) > max_height:
-                continue
             for labels in itertools.product(_bitstrings(bits), repeat=n):
                 yield PointedDigraph(tree.digraph.relabel(labels), tree.point)
 
@@ -553,12 +550,6 @@ def enumerate_ordered_ditrees_by_height(max_height: int, bits: int = 0,
             continue
         seen.add(shape)
         yield _shape_to_tree(shape, bits, arity)
-
-
-def _tree_height(shape) -> int:
-    if not shape:
-        return 0
-    return 1 + max(_tree_height(c) for c in shape)
 
 
 def _shape_to_tree(shape, bits: int, arity: int) -> PointedDigraph:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .automata import DistributedAutomaton, _has_nontrivial_cycle, state_diagram
 from .formulas import (And, BBox, BDia, Bot, In, MuSystem, Not, Or, Top,
                        _pair_holds, flatten_mu)
-from .graphs import subsets
+from .graphs import _bitstrings, subsets
 
 MAX_COMPILE_PROPS = 10
 
@@ -57,10 +57,9 @@ def compile_mu_to_aqda(system: MuSystem) -> DistributedAutomaton:
         return names[q | added]
 
     init = {}
-    for labelbits in itertools.product("01", repeat=system.bits):
-        label = "".join(labelbits)
+    for label in _bitstrings(system.bits):
         init[label] = names[frozenset(
-            f"P{i + 1}" for i, b in enumerate(labelbits) if b == "1")]
+            f"P{i + 1}" for i, b in enumerate(label) if b == "1")]
     accepting = frozenset(n for s, n in names.items() if main in s)
     return DistributedAutomaton(
         states=tuple(names.values()),
@@ -294,12 +293,11 @@ def _accept_body(a: DistributedAutomaton, traces):
 
 def _init_body(a: DistributedAutomaton, state: str, bits: int):
     disjuncts = []
-    for labelbits in itertools.product("01", repeat=bits):
-        label = "".join(labelbits)
+    for label in _bitstrings(bits):
         if a.init.get(label) != state:
             continue
         lits = tuple(In(f"P{i+1}") if b == "1" else Not(In(f"P{i+1}"))
-                     for i, b in enumerate(labelbits))
+                     for i, b in enumerate(label))
         disjuncts.append(_and(lits))
     return _or(tuple(disjuncts))
 

@@ -8,7 +8,7 @@ from . import formulas as fm
 from .alternating import AltAutomaton, explicit
 from .automata import (DistributedAutomaton, ForgetfulAutomaton, Guard, Rule,
                        RuleDelta)
-from .graphs import Digraph
+from .graphs import Digraph, _bitstrings
 from .tiling import BORDER, TilingSystem, cell
 
 
@@ -363,8 +363,7 @@ def even_width_tiling_system() -> TilingSystem:
 
 def all_blocks_tiling_system(states=("s",), bits: int = 0) -> TilingSystem:
     """Every possible block over the given states: accepts every grid."""
-    cells = [BORDER] + [cell("".join(bs), q)
-                        for bs in itertools.product("01", repeat=bits)
+    cells = [BORDER] + [cell(lab, q) for lab in _bitstrings(bits)
                         for q in states]
     tiles = frozenset(itertools.product(cells, repeat=4))
     return TilingSystem(bits=bits, states=tuple(states), tiles=tiles)

@@ -486,6 +486,15 @@ def test_compile_rejects_modal_kernel():
                              bits=0, rels=1)
 
 
+@pytest.mark.parametrize("rel", [0, 2, 5])
+def test_compile_refuses_relation_atoms_outside_the_signature(rel):
+    f = fm.ExistsNode("x", fm.ExistsNode("y", fm.RelAtom(rel, ("x", "y"))))
+    with pytest.raises(AltError, match=f"relation index {rel} out of range"):
+        compile_mso_to_aldag(f, bits=0, rels=1)
+    compile_mso_to_aldag(fm.ExistsNode("x", fm.ExistsNode(
+        "y", fm.RelAtom(2, ("x", "y")))), bits=0, rels=2)
+
+
 def test_compiled_outputs_validate(mu_corpus):
     rng = random.Random(45)
     for _ in range(4):

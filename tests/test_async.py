@@ -63,6 +63,12 @@ def test_lossless_constraint_rejected_at_construction():
                lossless=True)
 
 
+def test_lossless_timing_without_the_target_node_bit_is_refused():
+    with pytest.raises(TimingError, match="no node bit for the target 1"):
+        Timing(edge_order=((1, 0, 1),),
+               prefix=(TimingStep(nodes=(1,), edges=(1,)),), lossless=True)
+
+
 def test_sample_timing_deterministic_and_lossless():
     d = make(1, 1, ["1", "0", "0"], [(1, 0, 1), (1, 1, 2), (1, 2, 0)])
     t1 = sample_timing(d, 12, lossless=True, seed=42)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import random
+import re
 import tempfile
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from disto import automata, graphs, zoo
 from disto.cli import main, report_format
-from disto.formulas import print_mu
+from disto.formulas import _SYNTAX, print_formula, print_mu
 from disto.reductions import tm_json_dict
 
 import gens
@@ -236,6 +238,25 @@ def test_compile_mso_verb(capsys, tmp_path):
     g.write_text(json.dumps(graphs.to_json_dict(graphs.make(0, 1, [""], []))))
     code, out = run_cli(capsys, "compile-mso", str(f), "--accept", str(g))
     assert out["verdict"] == "accepted"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(not " * 2999 + "(top)" + ")" * 2999,
+     "ParseError: nesting deeper than 100 at offset 500"),
+    ("(exists x (exists y (rel 5 x y)))",
+     "AltError: relation index 5 out of range for 1 relation(s)"),
+    ("(exists x (exists y (rel 1 (x) y)))",
+     "ParseError: (rel ...) expects two or more symbols, got [['x'], 'y']"),
+    ("(exists x (exists y (rel 0 x y)))",
+     "ParseError: relation indices are 1, 2, ..., got '0'"),
+], ids=["3000-deep", "rel-5", "rel-list-argument", "rel-0"])
+def test_compile_mso_refuses_malformed_sentences(capsys, tmp_path, text,
+                                                 message):
+    f = tmp_path / "f.sexp"
+    f.write_text(text)
+    code, out = run_cli(capsys, "compile-mso", str(f))
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"] == message
 
 
 def test_accept_timed_verb(capsys, tmp_path, fig_automaton_file,
@@ -477,3 +498,48 @@ def test_accept_timed_reports_every_mutated_timing(timing):
     report = json.loads(out.getvalue())  # exactly one JSON document
     assert report["schema"] == "disto/1" and code in (0, 1, 2)
     assert (code == 1) == (report["verdict"] == "input-error")
+
+
+def _sexpr_bases():
+    rng = random.Random(12)
+    bases = [("compile-mso", print_formula(
+        gens.random_mso_sentence(rng, bits=0, qdepth=1 + i % 2)))
+        for i in range(6)]
+    bases += [("compile-mu", print_mu(gens.random_mu_system(rng)))
+              for _ in range(6)]
+    return bases
+
+
+_VOCAB = ["(", ")", "mu", "x1", "x2", "Y1", "Y2", "X1", "P1", "P7", "0", "1",
+          "5", "\u00b2", *sorted(op for op, _, _ in _SYNTAX.values())]
+_EDITS = st.lists(st.tuples(st.sampled_from(["delete", "insert", "replace"]),
+                            st.integers(0, 1000), st.sampled_from(_VOCAB)),
+                  max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(_sexpr_bases()), edits=_EDITS)
+def test_compile_verbs_report_every_mutated_sexpr(base, edits):
+    verb, text = base
+    tokens = re.findall(r"\(|\)|[^\s()]+", text)
+    for edit, at, tok in edits:
+        if edit == "insert":
+            tokens.insert(at % (len(tokens) + 1), tok)
+        elif tokens:
+            i = at % len(tokens)
+            if edit == "delete":
+                del tokens[i]
+            else:
+                tokens[i] = tok
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.sexp")
+        with open(path, "w") as fh:
+            fh.write(" ".join(tokens))
+        argv = [verb, path] + (["--bits", "1"] if verb == "compile-mu" else [])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    report = json.loads(out.getvalue())  # exactly one JSON document
+    assert report["schema"] == "disto/1" and code in (0, 1, 2)
+    assert (code == 1) == (report["verdict"] in ("input-error",
+                                                 "limit-exceeded"))

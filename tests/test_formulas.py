@@ -69,6 +69,23 @@ def test_seeone_unique_successor():
     assert not eval_mso(f, two)
 
 
+@pytest.mark.parametrize("f", [Dia(0, (Top(),)), Box(3, (Top(),)),
+                               BDia(3, (Top(),))])
+def test_modal_relation_index_out_of_range_raises(f):
+    pd = make(0, 2, ["", ""], [(1, 0, 1), (2, 1, 0)], point=0)
+    with pytest.raises(EvalError, match=f"relation index {f.rel} out of "
+                                        f"range"):
+        eval_mso(f, pd)
+
+
+def test_label_constant_p0_is_not_a_label_bit():
+    pd = make(2, 1, ["01", "01"], [(1, 0, 1)], point=0)
+    assert eval_mso(In("P2"), pd) and not eval_mso(In("P1"), pd)
+    with pytest.raises(EvalError, match="unbound set symbol 'P0'"):
+        eval_mso(In("P0"), pd)
+    assert eval_mso(In("P0"), pd, env={"P0": frozenset({0})})
+
+
 def test_unbound_symbol_raises():
     with pytest.raises(EvalError):
         eval_modal(In("Q"), pointed([""], [], bits=0))
@@ -324,6 +341,54 @@ def test_print_parse_roundtrip():
     for _ in range(10):
         sys_ = gens.random_mu_system(rng)
         assert parse_mu(print_mu(sys_), bits=sys_.bits) == sys_
+    for i in range(40):
+        f = gens.random_mso_sentence(rng, bits=i % 3, qdepth=1 + i % 3)
+        assert parse_formula(print_formula(f)) == f
+    for f in (zoo.phi_three_color(), zoo.edgeless_sentence(),
+              zoo.seeone(In("P1")), zoo.seeone(Top(), rel=2)):
+        assert parse_formula(print_formula(f)) == f
+
+
+@pytest.mark.parametrize("text,message", [
+    ("(top x)", "(top ...) has extra arguments ['x']"),
+    ("(bot 1)", "(bot ...) has extra arguments ['1']"),
+    ("(in (x))", "(in ...) expects a symbol, got ['x']"),
+    ("(rel 1 (x) y)",
+     "(rel ...) expects two or more symbols, got [['x'], 'y']"),
+    ("(rel 0 x y)", "relation indices are 1, 2, ..., got '0'"),
+    ("(dia 0 (top))", "relation indices are 1, 2, ..., got '0'"),
+])
+def test_malformed_forms_are_refused(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == message
+
+
+def test_every_ast_class_has_one_syntax_entry():
+    classes = {c for c in vars(fm).values() if isinstance(c, type)
+               and c.__module__ == fm.__name__
+               and hasattr(c, "__dataclass_fields__")} - {fm.MuSystem}
+    assert set(fm._SYNTAX) == classes
+    assert len({op for op, _, _ in fm._SYNTAX.values()}) == len(classes)
+    for cls, (_, kinds, _) in fm._SYNTAX.items():
+        assert len(kinds) == len(cls.__dataclass_fields__)
+
+
+def test_nesting_is_bounded():
+    def nested(depth):
+        return "(not " * (depth - 1) + "(top)" + ")" * (depth - 1)
+
+    f = parse_formula(nested(fm.MAX_NESTING))
+    assert print_formula(f) == nested(fm.MAX_NESTING)
+    assert modal_depth(f) == 0 and fm.features(f) == frozenset()
+    with pytest.raises(ParseError, match="nesting deeper than"):
+        parse_formula(nested(fm.MAX_NESTING + 1))
+
+
+def test_long_formula_parses_in_one_pass():
+    text = "(or" + " (in P1)" * 80_000 + ")"  # 240,002 tokens
+    f = parse_formula(text)
+    assert len(f.args) == 80_000 and print_formula(f) == text
 
 
 def test_parse_print_canonical_form():
