@@ -21,7 +21,8 @@ from typing import Callable, Iterable
 
 from . import formulas as fm
 from .automata import (NVec, RuleDelta, UnmatchedTransition, _Interned,
-                       _rule_from_json, _rule_json, all_nvecs)
+                       _init, _names, _positive, _rule_from_json, _rule_json,
+                       all_nvecs)
 from .graphs import (Digraph, OracleBoundError, _bitstrings,
                      enumerate_digraphs)
 
@@ -29,7 +30,7 @@ GAME_SUCCESSOR_CAP = 200_000
 ENUM_LIMIT = 16  # max |Q| * rels for exhaustive validation
 
 
-class AltError(Exception):
+class AltError(ValueError):
     pass
 
 
@@ -152,11 +153,10 @@ def validate_alt(a: AltAutomaton) -> LevelReport:
     nonperm = [q for q in a.states if a.kind[q] != "P"]
 
     for p in perm:
-        for nvec in _sample_nvecs(a):
-            if a.step(p, nvec) != frozenset({p}):
-                return LevelReport(
-                    False, None,
-                    f"permanent state {p!r} has a non-self-loop transition")
+        if succ[p] != {p}:
+            return LevelReport(
+                False, None,
+                f"permanent state {p!r} has a non-self-loop transition")
 
     incoming: dict = {q: set() for q in nonperm}
     for q1 in nonperm:
@@ -215,12 +215,6 @@ def validate_alt(a: AltAutomaton) -> LevelReport:
                 f"initial state {q!r} (label {label!r}) is neither on the "
                 f"lowest level nor permanent")
     return LevelReport(True, levels, None)
-
-
-def _sample_nvecs(a: AltAutomaton):
-    some = list(a.states)[: 2]
-    picks = [frozenset(), frozenset(some[:1]), frozenset(some)]
-    return [tuple(p for _ in range(a.rels)) for p in picks]
 
 
 def length(a: AltAutomaton) -> int:
@@ -545,7 +539,9 @@ def union(a: AltAutomaton, b: AltAutomaton) -> AltAutomaton:
     for j, op in operands.items():
         opsucc = op.successors_superset()
         for q in op.states:
-            succ[(j, q)] = frozenset((j, t) for t in opsucc[q]) | {conflict}
+            succ[(j, q)] = frozenset((j, t) for t in opsucc[q])
+            if q not in perm_of[j]:
+                succ[(j, q)] |= {conflict}
     succ[conflict] = frozenset({conflict})
 
     acc_a, acc_b = a.accepting, b.accepting
@@ -632,6 +628,9 @@ def project(a: AltAutomaton, mapping: dict[str, str]) -> AltAutomaton:
     of its label, then the operand runs one round delayed."""
     if set(mapping) != set(a.init):
         raise AltError("projection mapping must cover the operand's alphabet")
+    if not all(isinstance(lab, str) and set(lab) <= {"0", "1"}
+               for lab in mapping.values()):
+        raise AltError("projection image labels must be bitstrings")
     a = prune_reachable(a)
     width = {len(lab) for lab in mapping.values()}
     if len(width) != 1:
@@ -815,8 +814,10 @@ def compile_mso_to_aldag(f, bits: int, rels: int) -> AltAutomaton:
     alternating automaton, by structural induction: local label checks and a
     one-round edge check at the atoms, complement/union for the Boolean
     layer, and projection (plus a uniqueness gadget for node quantifiers)
-    for the existential quantifiers."""
-    extra = sorted(fm.free_symbols(f))
+    for the existential quantifiers.  The set constants ``P1..P{bits}``
+    read label bits and may occur free."""
+    extra = sorted(s for s in fm.free_symbols(f)
+                   if not 1 <= (fm.label_constant_index(s) or 0) <= bits)
     if extra:
         raise AltError(f"compile_mso_to_aldag needs a sentence; free: {extra}")
     return _compile(f, (), bits, rels)
@@ -971,11 +972,17 @@ def to_json_dict(a: AltAutomaton) -> dict:
 
 
 def from_json_dict(obj: dict) -> AltAutomaton:
-    rels = obj["relations"]
+    rels = _positive(obj, "relations")
+    states = tuple(_names([s["name"] for s in obj["states"]], "state names"))
+    sets = [frozenset(_names(s, "accepting sets"))
+            for s in obj["accepting_sets"]]
+    if not all(s <= set(states) for s in sets):
+        raise ValueError(f"accepting sets {obj['accepting_sets']} name "
+                         f"undeclared states")
     return AltAutomaton(
-        states=tuple(s["name"] for s in obj["states"]),
+        states=states,
         kind={s["name"]: s["kind"] for s in obj["states"]},
-        rels=rels, init=dict(obj["init"]),
-        delta=RuleDelta(_rule_from_json(r, r["from"], rels)
+        rels=rels, init=_init(obj, states),
+        delta=RuleDelta(_rule_from_json(r, r["from"], rels, many=True)
                         for r in obj["rules"]),
-        accepting=explicit(*[frozenset(s) for s in obj["accepting_sets"]]))
+        accepting=explicit(*sets))

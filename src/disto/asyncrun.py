@@ -43,7 +43,7 @@ def is_valid_trace(t: Trace) -> bool:
     return len(t) >= 1 and all(a != b for a, b in zip(t, t[1:]))
 
 
-class TimingError(Exception):
+class TimingError(ValueError):
     pass
 
 

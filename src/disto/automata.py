@@ -21,7 +21,7 @@ DEFAULT_HORIZON_CAP = 10 ** 6
 CLASSIFY_LIMIT = 18  # max |Q| * rels for exhaustive delta enumeration
 
 
-class InitializationError(Exception):
+class InitializationError(ValueError):
     pass
 
 
@@ -29,7 +29,7 @@ class HorizonExceeded(Exception):
     pass
 
 
-class UnmatchedTransition(Exception):
+class UnmatchedTransition(ValueError):
     pass
 
 
@@ -493,7 +493,34 @@ def _rule_json(r: Rule) -> dict:
             "to": r.dst}
 
 
-def _rule_from_json(row: dict, src: str, rels: int) -> Rule:
+def _names(value, what: str) -> list[str]:
+    """``value`` if it is a JSON list of strings, else ``ValueError``."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise ValueError(f"{what} must be a list of strings, got {value!r}")
+    return value
+
+
+def _positive(obj: dict, key: str) -> int:
+    """``obj[key]`` if it is an integer >= 1, else ``ValueError``."""
+    value = obj[key]
+    if not (isinstance(value, int) and value >= 1):
+        raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _init(obj: dict, states: Sequence[str]) -> dict[str, str]:
+    """The label -> state map of ``obj``, every state declared."""
+    init = dict(obj["init"])
+    if not set(init.values()) <= set(states):
+        raise ValueError(f"initial states {init} not in state set")
+    return init
+
+
+def _rule_from_json(row: dict, src: str, rels: int,
+                    many: bool = False) -> Rule:
+    """One rule row; ``to`` is a state, or with ``many`` a list of states."""
+    targets = _names(row["to"], "rule targets") if many else [row["to"]]
+    _names([src, *targets], "rule states")
     rule = Rule(src, tuple(Guard(g["rel"], g["op"], frozenset(g.get("set", ())))
                            for g in row.get("guards", ())), row["to"])
     if any(g.rel > rels for g in rule.guards):
@@ -502,11 +529,12 @@ def _rule_from_json(row: dict, src: str, rels: int) -> Rule:
 
 
 def from_json_dict(obj: dict) -> DistributedAutomaton:
-    rels = obj["relations"]
+    rels = _positive(obj, "relations")
+    states = tuple(_names(obj["states"], "states"))
     return DistributedAutomaton(
-        states=tuple(obj["states"]),
+        states=states,
         rels=rels,
-        init=dict(obj["init"]),
+        init=_init(obj, states),
         accepting=frozenset(obj["accepting"]),
         delta=RuleDelta(_rule_from_json(r, r["from"], rels)
                         for r in obj["rules"]),
@@ -529,9 +557,9 @@ def forgetful_to_json_dict(a: ForgetfulAutomaton) -> dict:
 
 
 def forgetful_from_json_dict(obj: dict) -> ForgetfulAutomaton:
-    rels = obj["relations"]
+    rels = _positive(obj, "relations")
     return ForgetfulAutomaton(
-        states=tuple(obj["states"]),
+        states=tuple(_names(obj["states"], "states")),
         rels=rels,
         initial=obj["initial"],
         letters=tuple(obj["delta"]),

@@ -23,7 +23,7 @@ _REJECTING_VERDICTS = {"rejected", "empty", "empty-up-to-cap",
                        "violation"}
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -34,49 +34,41 @@ def report_format(verdict: str, details: dict | None = None) -> str:
     return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, build, text: bool = False):
+    """``build`` applied to the file at ``path``: to its text when ``text``
+    is set (S-expression files), else to its top-level JSON object.  An
+    unreadable file, bad JSON, another top level, and a ``KeyError``,
+    ``TypeError``, ``AttributeError`` or ``IndexError`` raised by ``build``
+    on a malformed object become an ``InputError`` naming the path."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"{path}: file not found")
+            obj = fh.read() if text else json.load(fh)
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
-        raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
-    if not isinstance(obj, dict):
+        raise InputError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # not UTF-8, nested too deep
+        raise InputError(f"{path}: {type(e).__name__}: {e}") from None
+    if not (text or isinstance(obj, dict)):
         raise InputError(f"{path}: top level is not a JSON object")
-    return obj
+    try:
+        return build(obj)
+    except InputError as e:
+        raise InputError(f"{path}: {e}") from None
+    except (KeyError, TypeError, AttributeError, IndexError) as e:
+        raise InputError(f"{path}: {type(e).__name__}: {e}") from None
 
 
-def _load_graph(path: str):
-    return graphs.from_json_dict(_load_json(path))
-
-
-def _load_pointed(path: str) -> graphs.PointedDigraph:
-    g = _load_graph(path)
+def _pointed(obj: dict) -> graphs.PointedDigraph:
+    g = graphs.from_json_dict(obj)
     if not isinstance(g, graphs.PointedDigraph):
-        raise InputError(f"{path}: digraph has no point")
+        raise InputError("digraph has no point")
     return g
 
 
-def _load_digraph(path: str) -> graphs.Digraph:
-    g = _load_graph(path)
+def _digraph(obj: dict) -> graphs.Digraph:
+    g = graphs.from_json_dict(obj)
     return g.digraph if isinstance(g, graphs.PointedDigraph) else g
-
-
-def _load_automaton(path: str) -> automata.DistributedAutomaton:
-    return automata.from_json_dict(_load_json(path))
-
-
-def _load_forgetful(path: str) -> automata.ForgetfulAutomaton:
-    return automata.forgetful_from_json_dict(_load_json(path))
-
-
-def _load_text(path: str) -> str:
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise InputError(f"{path}: file not found")
 
 
 def _write_out(args, obj: dict) -> None:
@@ -86,16 +78,12 @@ def _write_out(args, obj: dict) -> None:
             fh.write("\n")
 
 
-def _graph_detail(g) -> dict:
-    return graphs.to_json_dict(g)
-
-
 # ---------------------------------------------------------------------------
 # Verb handlers: each returns (verdict, details)
 
 def cmd_run(args):
-    a = _load_automaton(args.automaton)
-    d = _load_digraph(args.graph)
+    a = _load(args.automaton, automata.from_json_dict)
+    d = _load(args.graph, _digraph)
     horizon = "auto" if args.horizon == "auto" else int(args.horizon)
     run = automata.sync_run(a, d, horizon=horizon)
     return "ran", {
@@ -106,24 +94,24 @@ def cmd_run(args):
 
 
 def cmd_accept(args):
-    a = _load_automaton(args.automaton)
-    pd = _load_pointed(args.graph)
+    a = _load(args.automaton, automata.from_json_dict)
+    pd = _load(args.graph, _pointed)
     ok = automata.decide_acceptance_sync(a, pd)
     return ("accepted" if ok else "rejected"), {"point": pd.point}
 
 
 def cmd_accept_timed(args):
-    a = _load_automaton(args.automaton)
-    pd = _load_pointed(args.graph)
-    timing = asyncrun.timing_from_json_dict(_load_json(args.timing),
-                                            pd.digraph)
+    a = _load(args.automaton, automata.from_json_dict)
+    pd = _load(args.graph, _pointed)
+    timing = _load(args.timing, lambda obj: asyncrun.timing_from_json_dict(
+        obj, pd.digraph))
     ok = asyncrun.decide_acceptance_timed(a, pd, timing)
     return ("accepted" if ok else "rejected"), {"point": pd.point}
 
 
 def cmd_falsify_async(args):
-    a = _load_automaton(args.automaton)
-    d = _load_digraph(args.graph)
+    a = _load(args.automaton, automata.from_json_dict)
+    d = _load(args.graph, _digraph)
     found = asyncrun.falsify_consistency(
         a, d, samples=args.samples, prefix_len=args.prefix,
         lossless=args.lossless, seed=args.seed)
@@ -139,19 +127,20 @@ def cmd_falsify_async(args):
 
 
 def cmd_compile_mu(args):
-    system = formulas.parse_mu(_load_text(args.formula), bits=args.bits)
+    system = _load(args.formula, lambda text: formulas.parse_mu(
+        text, bits=args.bits), text=True)
     a = mucompile.compile_mu_to_aqda(system)
     details = {"states": len(a.states), "accepting": len(a.accepting),
                "relations": a.rels}
     if args.accept:
-        pd = _load_pointed(args.accept)
+        pd = _load(args.accept, _pointed)
         ok = automata.decide_acceptance_sync(a, pd)
         return ("accepted" if ok else "rejected"), details
     return "compiled", details
 
 
 def cmd_decompile_qda(args):
-    a = _load_automaton(args.automaton)
+    a = _load(args.automaton, automata.from_json_dict)
     system = mucompile.decompile_qda_to_mu(a)
     text = formulas.print_mu(system)
     if args.out:
@@ -162,56 +151,54 @@ def cmd_decompile_qda(args):
 
 
 def cmd_compile_mso(args):
-    f = formulas.parse_formula(_load_text(args.formula))
+    f = _load(args.formula, formulas.parse_formula, text=True)
     a = alt.compile_mso_to_aldag(f, bits=args.bits, rels=args.relations)
     details = {"states": len(a.states), "length": alt.length(a)}
     if args.accept:
-        d = _load_digraph(args.accept)
+        d = _load(args.accept, _digraph)
         ok = alt.decide_acceptance_alt(a, d)
         return ("accepted" if ok else "rejected"), details
     return "compiled", details
 
 
 def cmd_alt_accept(args):
-    a = alt.from_json_dict(_load_json(args.automaton))
-    d = _load_digraph(args.graph)
+    a = _load(args.automaton, alt.from_json_dict)
+    d = _load(args.graph, _digraph)
     ok = alt.decide_acceptance_alt(a, d)
     return ("accepted" if ok else "rejected"), {}
 
 
 def cmd_alt_closure(args):
-    a = alt.from_json_dict(_load_json(args.automaton))
-    b = alt.from_json_dict(_load_json(args.second)) if args.second else None
-    mapping = None
-    if args.mapping:
-        mapping = _load_json(args.mapping)
+    a = _load(args.automaton, alt.from_json_dict)
+    b = _load(args.second, alt.from_json_dict) if args.second else None
+    mapping = _load(args.mapping, dict) if args.mapping else None
     out = alt.apply_closure(args.kind, a, b, mapping)
     details = {"states": len(out.states), "kind": args.kind}
     if args.accept:
-        d = _load_digraph(args.accept)
+        d = _load(args.accept, _digraph)
         ok = alt.decide_acceptance_alt(out, d)
         return ("accepted" if ok else "rejected"), details
     return "closed", details
 
 
 def cmd_empty_forgetful(args):
-    a = _load_forgetful(args.automaton)
+    a = _load(args.automaton, automata.forgetful_from_json_dict)
     verdict = decision.forgetful_emptiness(a)
     if verdict.empty:
         return "empty", {}
     details = {"time": verdict.time, "state": verdict.state}
     witness = decision.forgetful_witness(a, verdict.time, verdict.state)
-    details["witness"] = _graph_detail(witness)
-    _write_out(args, _graph_detail(witness))
+    details["witness"] = graphs.to_json_dict(witness)
+    _write_out(args, details["witness"])
     return "nonempty", details
 
 
 def cmd_empty_nldag(args):
-    a = alt.from_json_dict(_load_json(args.automaton))
+    a = _load(args.automaton, alt.from_json_dict)
     result = alt.nldag_emptiness(a, mode=args.mode, cap=args.max_nodes)
     if not result.empty:
-        details = {"witness": _graph_detail(result.witness)}
-        _write_out(args, _graph_detail(result.witness))
+        details = {"witness": graphs.to_json_dict(result.witness)}
+        _write_out(args, details["witness"])
         return "nonempty", details
     verdict = "empty" if result.exact else "empty-up-to-cap"
     return verdict, {"searched_up_to": result.searched_up_to,
@@ -219,23 +206,24 @@ def cmd_empty_nldag(args):
 
 
 def cmd_search_witness(args):
-    a = _load_automaton(args.automaton)
+    a = _load(args.automaton, automata.from_json_dict)
     found = decision.bounded_ditree_search(a, args.max_nodes)
     if found is None:
         return "none-up-to-bound", {"max_nodes": args.max_nodes}
-    _write_out(args, _graph_detail(found))
-    return "witness", {"witness": _graph_detail(found)}
+    witness = graphs.to_json_dict(found)
+    _write_out(args, witness)
+    return "witness", {"witness": witness}
 
 
 def cmd_dfa2fda(args):
-    dfa = reductions.dfa_from_json_dict(_load_json(args.dfa))
+    dfa = _load(args.dfa, reductions.dfa_from_json_dict)
     fda = reductions.dfa_to_fda(dfa)
     return "converted", {"states": len(fda.states),
                          "letters": list(fda.letters)}
 
 
 def cmd_fda2dfa(args):
-    fda = _load_forgetful(args.automaton)
+    fda = _load(args.automaton, automata.forgetful_from_json_dict)
     dfa = reductions.fda_to_dfa(fda)
     obj = reductions.dfa_json_dict(dfa)
     _write_out(args, obj)
@@ -243,25 +231,25 @@ def cmd_fda2dfa(args):
 
 
 def cmd_ta2fda(args):
-    ta = reductions.ta_from_json_dict(_load_json(args.ta))
+    ta = _load(args.ta, reductions.ta_from_json_dict)
     fda = reductions.treeautomaton_to_fda(ta)
     return "converted", {"states": len(fda.states), "arity": fda.rels}
 
 
 def cmd_tm2da(args):
-    m = reductions.tm_from_json_dict(_load_json(args.tm))
+    m = _load(args.tm, reductions.tm_from_json_dict)
     a = reductions.tm_to_da(m)
     details = {"states": len(a.states)}
     if args.accept:
-        pd = _load_pointed(args.accept)
+        pd = _load(args.accept, _pointed)
         ok = automata.decide_acceptance_sync(a, pd)
         return ("accepted" if ok else "rejected"), details
     return "converted", details
 
 
 def cmd_ts_recognize(args):
-    ts = tiling.ts_from_json_dict(_load_json(args.system))
-    g = _load_digraph(args.graph)
+    ts = _load(args.system, tiling.ts_from_json_dict)
+    g = _load(args.graph, _digraph)
     run = tiling.ts_recognize(ts, g)
     if run is None:
         return "rejected", {}
@@ -269,7 +257,7 @@ def cmd_ts_recognize(args):
 
 
 def cmd_grid_check(args):
-    d = _load_digraph(args.graph)
+    d = _load(args.graph, _digraph)
     failed = tiling.grid_validate(d)
     if failed is None:
         h, w = tiling.grid_dimensions(d)
@@ -281,10 +269,11 @@ def cmd_grid_check(args):
 def cmd_gen(args):
     if args.kind == "dipath":
         g = graphs.dipath(args.n, bits=args.bits)
-    elif args.kind == "grid":
-        g = graphs.grid(args.height, args.width, bits=args.bits)
     else:
-        raise InputError(f"gen does not support kind {args.kind!r}")
+        g = graphs.grid(args.height, args.width, bits=args.bits)
+    fault = graphs.validate(g)
+    if fault:
+        raise InputError(fault)
     obj = graphs.to_json_dict(g)
     _write_out(args, obj)
     return "generated", obj
@@ -364,17 +353,12 @@ def main(argv=None) -> int:
     except InputError as e:
         print(report_format("input-error", {"message": str(e)}))
         return 1
-    except (graphs.OracleBoundError, formulas.ParseError,
-            formulas.EvalError, formulas.KernelViolation,
-            automata.InitializationError, automata.UnmatchedTransition,
-            asyncrun.TimingError, alt.AltError, tiling.StructureError,
-            mucompile.ClassError, decision.WitnessError,
-            ValueError, KeyError) as e:
-        print(report_format("input-error",
-                            {"message": f"{type(e).__name__}: {e}"}))
-        return 1
     except (automata.HorizonExceeded, automata.ClassificationInfeasible) as e:
         print(report_format("limit-exceeded",
+                            {"message": f"{type(e).__name__}: {e}"}))
+        return 1
+    except (ValueError, KeyError) as e:
+        print(report_format("input-error",
                             {"message": f"{type(e).__name__}: {e}"}))
         return 1
     print(report_format(verdict, details))

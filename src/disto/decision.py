@@ -20,7 +20,7 @@ from .graphs import (OracleBoundError, PointedDigraph,
 DITREE_SAFETY_CAP = 6
 
 
-class WitnessError(Exception):
+class WitnessError(ValueError):
     pass
 
 
@@ -146,11 +146,13 @@ def bounded_ditree_search(a: DistributedAutomaton | ForgetfulAutomaton,
     if a.rels != 1:
         raise ValueError("ditree search supports 1-relational automata")
     if isinstance(a, ForgetfulAutomaton):
-        bits = len(a.letters[0])
-        decide = decide_acceptance_forgetful
+        labels, decide = a.letters, decide_acceptance_forgetful
     else:
-        bits = len(next(iter(a.init)))
-        decide = decide_acceptance_sync
+        labels, decide = tuple(a.init), decide_acceptance_sync
+    if not labels:
+        raise ValueError("automaton names no labels, so the label width "
+                         "of its witnesses is unknown")
+    bits = len(labels[0])
     for tree in enumerate_rooted_ditrees(max_nodes, bits=bits,
                                          safety_bound=safety_cap):
         if decide(a, tree):

@@ -27,15 +27,15 @@ MSO_NODE_BOUND = 6
 MAX_NESTING = 100
 
 
-class EvalError(Exception):
+class EvalError(ValueError):
     pass
 
 
-class KernelViolation(Exception):
+class KernelViolation(ValueError):
     pass
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     pass
 
 

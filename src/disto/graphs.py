@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 ENUM_SAFETY_BOUND = 6
 
 
-class OracleBoundError(Exception):
+class OracleBoundError(ValueError):
     """Raised when an exhaustive sweep would exceed its configured bound."""
 
 
@@ -158,6 +158,8 @@ def make(bits: int, rels: int, labels: Sequence[str],
 
 def edge_fault(d: Digraph, e: tuple[int, int, int]) -> str | None:
     """Why the edge ``e`` does not fit ``d``, or None."""
+    if len(e) != 3 or not all(isinstance(x, int) for x in e):
+        return f"edge {list(e)} is not three integers"
     r, s, t = e
     if not 1 <= r <= d.rels:
         return f"edge ({r},{s},{t}) uses an unknown relation index"
@@ -184,16 +186,19 @@ def validate(d: Digraph | PointedDigraph) -> str | None:
         d = d.digraph
     if d.n < 1:
         return "empty domain (node_count must be >= 1)"
-    if d.rels < 1:
-        return "rel_count must be >= 1"
+    if not (isinstance(d.rels, int) and d.rels >= 1):
+        return "rel_count must be an integer >= 1"
+    if not (isinstance(d.bits, int) and d.bits >= 0):
+        return "bits must be an integer >= 0"
     for v, lab in enumerate(d.labels):
-        if len(lab) != d.bits or any(c not in "01" for c in lab):
+        if not (isinstance(lab, str) and len(lab) == d.bits
+                and set(lab) <= {"0", "1"}):
             return f"label of node {v} is not a {d.bits}-bit string"
     for e in sorted(d.edges):
         fault = edge_fault(d, e)
         if fault:
             return fault
-    if point is not None and not 0 <= point < d.n:
+    if point is not None and not (isinstance(point, int) and 0 <= point < d.n):
         return f"point {point} is not a valid node id"
     return None
 
@@ -251,24 +256,6 @@ def ditree_from_parents(parents: Sequence[int | None],
         bits = len(labels[0]) if labels else bits
     edges = [(1, v, p) for v, p in enumerate(parents) if p is not None]
     return make(bits, 1, labels, edges, point=roots[0])
-
-
-def generate(kind: str, **params):
-    """Uniform front door over the structure generators."""
-    if kind == "dipath":
-        return dipath(params["n"], params.get("labels"), params.get("bits", 0))
-    if kind == "grid":
-        return grid(params["h"], params["w"], params.get("labels"),
-                    params.get("bits", 0))
-    if kind == "ordered-ditree":
-        if params.get("n", 1) != 1 and "parents" not in params:
-            raise ValueError("ordered ditrees beyond a single root need 'parents'")
-        if "parents" in params:
-            return ditree_from_parents(params["parents"], params.get("labels"),
-                                       params.get("bits", 0))
-        return make(params.get("bits", 0), params.get("rels", 1),
-                    ["0" * params.get("bits", 0)], [], point=0)
-    raise ValueError(f"no generator for kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +331,9 @@ CANDIDATE_LIMIT = 1 << 24   # candidate codes one augmentation step may hold
 
 
 def enumerate_digraphs(max_nodes: int, bits: int = 0, rels: int = 1,
-                       kind: str = "general", iso_reduce: bool = False,
+                       iso_reduce: bool = False,
                        safety_bound: int = ENUM_SAFETY_BOUND) -> Iterator[Digraph]:
-    """Yield every digraph of the kind with at most ``max_nodes`` nodes.
+    """Yield every digraph with at most ``max_nodes`` nodes.
 
     Without ``iso_reduce`` the stream ranges over node-id-labeled structures:
     per node count, labels in ``itertools.product`` order, then the edge
@@ -357,13 +344,6 @@ def enumerate_digraphs(max_nodes: int, bits: int = 0, rels: int = 1,
     if max_nodes > safety_bound:
         raise OracleBoundError(
             f"refusing to enumerate digraphs with {max_nodes} > {safety_bound} nodes")
-    if kind == "dipath":
-        for n in range(1, max_nodes + 1):
-            for labels in itertools.product(_bitstrings(bits), repeat=n):
-                yield dipath(n, list(labels), bits).digraph
-        return
-    if kind != "general":
-        raise ValueError(f"enumeration not implemented for kind {kind!r}")
     for n in range(1, max_nodes + 1):
         decode, label_codes = _decoder(n, bits, rels)
         if iso_reduce:
@@ -586,12 +566,14 @@ def to_json_dict(g: Digraph | PointedDigraph) -> dict:
 
 
 def from_json_dict(obj: dict) -> Digraph | PointedDigraph:
+    """The digraph of ``obj``; ``ValueError`` with :func:`validate`'s report
+    when it breaks an invariant."""
     nodes = sorted(obj["nodes"], key=lambda nd: nd["id"])
     if [nd["id"] for nd in nodes] != list(range(len(nodes))):
         raise ValueError("node ids must be dense 0..n-1")
-    labels = [nd["label"] for nd in nodes]
-    edges = [tuple(e) for e in obj["edges"]]
-    point = obj.get("point")
-    if point is not None and not 0 <= point < len(nodes):
-        raise ValueError(f"point {point} is not a valid node id")
-    return make(obj["bits"], obj["relations"], labels, edges, point=point)
+    g = make(obj["bits"], obj["relations"], [nd["label"] for nd in nodes],
+             [tuple(e) for e in obj["edges"]], point=obj.get("point"))
+    fault = validate(g)
+    if fault:
+        raise ValueError(fault)
+    return g

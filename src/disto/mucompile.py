@@ -21,7 +21,7 @@ from .graphs import _bitstrings, subsets
 MAX_COMPILE_PROPS = 10
 
 
-class ClassError(Exception):
+class ClassError(ValueError):
     pass
 
 
@@ -121,26 +121,6 @@ class EnablesRelation:
 
     def holds(self, history: frozenset, trace: tuple[str, ...]) -> bool:
         return (history, trace) in self.pairs
-
-
-def _extensions(trace: tuple[str, ...], succ: dict[str, set[str]]):
-    out = [trace]
-    for q in succ[trace[-1]]:
-        out.append(trace + (q,))
-    return out
-
-
-def history_successors(history: frozenset, succ: dict[str, set[str]]):
-    """All H' with H ~> H': every trace of H' extends one of H by at most
-    one state, and every trace of H has an extension in H'."""
-    exts = [[*_extensions(t, succ)] for t in sorted(history)]
-    seen = set()
-    nonempty = [itertools.islice(subsets(e), 1, None) for e in exts]
-    for choice in itertools.product(*nonempty):
-        h2 = frozenset(itertools.chain.from_iterable(choice))
-        if h2 not in seen:
-            seen.add(h2)
-            yield h2
 
 
 def compute_enables(a: DistributedAutomaton,

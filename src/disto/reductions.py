@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .automata import DistributedAutomaton, ForgetfulAutomaton
+from .automata import (DistributedAutomaton, ForgetfulAutomaton, _names,
+                       _positive)
 from .graphs import PointedDigraph, dipath, subsets
 
 
@@ -328,8 +329,11 @@ def tm_json_dict(m: TuringMachine) -> dict:
 
 
 def tm_from_json_dict(obj: dict) -> TuringMachine:
-    delta = {(q, s): (q2, s2, move) for (q, s, q2, s2, move) in obj["delta"]}
-    return TuringMachine(states=tuple(obj["states"]), tape=tuple(obj["tape"]),
+    _names([obj["initial"], obj["blank"], obj["halt"]], "initial, blank, halt")
+    delta = {(q, s): (q2, s2, move) for (q, s, q2, s2, move)
+             in (_names(row, "delta rows") for row in obj["delta"])}
+    return TuringMachine(states=tuple(_names(obj["states"], "states")),
+                         tape=tuple(_names(obj["tape"], "tape")),
                          initial=obj["initial"], blank=obj["blank"],
                          delta=delta, halt=obj["halt"])
 
@@ -344,8 +348,10 @@ def dfa_json_dict(b: Dfa) -> dict:
 
 
 def dfa_from_json_dict(obj: dict) -> Dfa:
-    delta = {(q, a): q2 for (q, a, q2) in obj["delta"]}
-    return Dfa(states=tuple(obj["states"]), initial=obj["initial"],
+    delta = {(q, a): q2 for (q, a, q2)
+             in (_names(row, "delta rows") for row in obj["delta"])}
+    return Dfa(states=tuple(_names(obj["states"], "states")),
+               initial=_names([obj["initial"]], "initial")[0],
                delta=delta, accepting=frozenset(obj["accepting"]))
 
 
@@ -360,7 +366,10 @@ def ta_json_dict(t: TreeAutomaton) -> dict:
 
 
 def ta_from_json_dict(obj: dict) -> TreeAutomaton:
-    delta = {(tuple(children), letter): q
-             for (children, letter, q) in obj["delta"]}
-    return TreeAutomaton(states=tuple(obj["states"]), arity=obj["arity"],
-                         delta=delta, accepting=frozenset(obj["accepting"]))
+    delta = {}
+    for children, letter, q in obj["delta"]:
+        _names(_names(children, "children") + [letter, q], "delta rows")
+        delta[(tuple(children), letter)] = q
+    return TreeAutomaton(states=tuple(_names(obj["states"], "states")),
+                         arity=_positive(obj, "arity"), delta=delta,
+                         accepting=frozenset(obj["accepting"]))

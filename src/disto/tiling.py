@@ -16,7 +16,7 @@ from .graphs import Digraph
 BORDER = "#"
 
 
-class StructureError(Exception):
+class StructureError(ValueError):
     pass
 
 
@@ -134,8 +134,9 @@ def grid_condition_name(idx: int) -> str:
     return _CONDITION_NAMES[idx]
 
 
-def grid_dimensions(d: Digraph) -> tuple[int, int]:
-    """(height, width) of a validated grid, from relation depths."""
+def grid_coordinates(d: Digraph) -> dict[int, tuple[int, int]]:
+    """node id -> 1-based (row, column) of a grid, from relation depths;
+    ``StructureError`` when ``d`` is not a grid."""
     failed = grid_validate(d)
     if failed is not None:
         raise StructureError(
@@ -148,21 +149,13 @@ def grid_dimensions(d: Digraph) -> tuple[int, int]:
             k += 1
         return k
 
-    height = 1 + max(depth(v, 1) for v in d.nodes())
-    width = 1 + max(depth(v, 2) for v in d.nodes())
-    return height, width
-
-
-def grid_coordinates(d: Digraph) -> dict[int, tuple[int, int]]:
-    """node id -> 1-based (row, column) for a validated grid."""
-    def depth(v: int, rel: int) -> int:
-        k, cur = 0, v
-        while d.in_neighbors(rel, cur):
-            cur = d.in_neighbors(rel, cur)[0]
-            k += 1
-        return k
-
     return {v: (depth(v, 1) + 1, depth(v, 2) + 1) for v in d.nodes()}
+
+
+def grid_dimensions(d: Digraph) -> tuple[int, int]:
+    """(height, width) of a grid: its largest coordinates."""
+    h, w = map(max, zip(*grid_coordinates(d).values()))
+    return h, w
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +181,8 @@ def ts_recognize(ts: TilingSystem, g: Digraph) -> BorderedRun | None:
     if g.bits != ts.bits:
         raise ValueError(f"system expects {ts.bits}-bit labels, "
                          f"grid has {g.bits}")
-    h, w = grid_dimensions(g)
     coords = grid_coordinates(g)
+    h, w = map(max, zip(*coords.values()))
     labels = {coords[v]: g.label(v) for v in g.nodes()}
 
     positions = [(i, j) for i in range(1, h + 1) for j in range(1, w + 1)]
@@ -249,8 +242,8 @@ def ts_recognize(ts: TilingSystem, g: Digraph) -> BorderedRun | None:
 
 def ts_recognize_bruteforce(ts: TilingSystem, g: Digraph) -> bool:
     """Independent oracle: exhaustive enumeration of state assignments."""
-    h, w = grid_dimensions(g)
     coords = grid_coordinates(g)
+    h, w = map(max, zip(*coords.values()))
     labels = {coords[v]: g.label(v) for v in g.nodes()}
     positions = [(i, j) for i in range(1, h + 1) for j in range(1, w + 1)]
     for combo in itertools.product(ts.states, repeat=len(positions)):

@@ -14,6 +14,7 @@ from disto.alternating import (AltAutomaton, AltError, ExplicitSets,
                                is_nondeterministic, length, nldag_emptiness,
                                normalize_profile, project, union,
                                validate_alt)
+from disto.automata import Guard, Rule, RuleDelta
 from disto.graphs import Digraph, enumerate_digraphs, make
 
 import gens
@@ -503,6 +504,17 @@ def test_compiled_outputs_validate(mu_corpus):
         assert validate_alt(a).ok
 
 
+@pytest.mark.parametrize("quantifier", ["exists", "forall"])
+def test_compiled_sentences_read_label_constants(quantifier):
+    f = fm.parse_formula(f"({quantifier} x (in P1 x))")
+    a = compile_mso_to_aldag(f, bits=1, rels=1)
+    for d in sweep(3, bits=1):
+        assert decide_acceptance_alt(a, d) == fm.eval_mso(f, d)
+    with pytest.raises(AltError, match=r"free: \['P2'\]"):
+        compile_mso_to_aldag(fm.parse_formula(f"({quantifier} x (in P2 x))"),
+                             bits=1, rels=1)
+
+
 def test_compile_agreement_random_sentences():
     rng = random.Random(46)
     done = 0
@@ -590,3 +602,18 @@ def test_json_roundtrip_and_acceptance():
     loop = make(0, 1, [""], [(1, 0, 0)])
     assert decide_acceptance_alt(a, loop)
     assert not decide_acceptance_alt(a, make(0, 1, [""], []))
+
+
+def test_validate_alt_checks_every_neighbourhood_of_a_permanent_state():
+    rules = [Rule("i", (), ["p"]),
+             Rule("p", (Guard(1, "eq", frozenset({"q"})),), ["q"]),
+             Rule("p", (), ["p"]), Rule("q", (), ["q"])]
+    a = AltAutomaton(states=("i", "p", "q"), kind={"i": "E", "p": "P",
+                                                   "q": "P"},
+                     rels=1, init={"": "i"}, delta=RuleDelta(rules),
+                     accepting=explicit({"p"}))
+    assert a.successors_superset()["p"] == {"p", "q"}
+    report = validate_alt(a)
+    assert not report.ok
+    assert report.violation == (
+        "permanent state 'p' has a non-self-loop transition")

@@ -1,14 +1,19 @@
 import contextlib
+import copy
+import functools
+import inspect
 import io
 import json
 import os
+import pkgutil
 import random
 import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import disto
 from disto import automata, graphs, zoo
 from disto.cli import main, report_format
 from disto.formulas import _SYNTAX, print_formula, print_mu
@@ -543,3 +548,233 @@ def test_compile_verbs_report_every_mutated_sexpr(base, edits):
     assert report["schema"] == "disto/1" and code in (0, 1, 2)
     assert (code == 1) == (report["verdict"] in ("input-error",
                                                  "limit-exceeded"))
+
+
+def _write_files(tmp, files: dict, argv: list) -> list:
+    """Write ``files`` (name -> JSON object or S-expression text) into
+    ``tmp`` and return ``argv`` with each ``@name`` replaced by its path."""
+    for name in {a[1:] for a in argv if a.startswith("@")}:
+        with open(os.path.join(tmp, name), "w") as fh:
+            value = files[name]
+            fh.write(value if isinstance(value, str) else json.dumps(value))
+    return [os.path.join(tmp, a[1:]) if a.startswith("@") else a
+            for a in argv]
+
+
+@functools.lru_cache(maxsize=1)
+def _verb_files():
+    """Small valid input files for every verb: JSON objects, and the
+    S-expression texts of the compile verbs."""
+    from disto.asyncrun import timing_to_json_dict, sample_timing
+    from disto.reductions import dfa_json_dict, ta_json_dict
+    from disto.tiling import ts_to_json_dict
+    pd = graphs.make(1, 1, ["1", "0"], [(1, 0, 1)], point=1)
+    alt1 = dict(ALDAG_JSON, init={"0": "ini", "1": "yes"})
+    return {
+        "a": automata.to_json_dict(zoo.reachability_automaton()),
+        "g": graphs.to_json_dict(pd),
+        "g0": graphs.to_json_dict(graphs.make(0, 1, [""], [], point=0)),
+        "t": timing_to_json_dict(sample_timing(pd.digraph, 3, True, seed=1)),
+        "alt": ALDAG_JSON, "alt1": alt1, "map": {"0": "1", "1": "0"},
+        "fda": {"states": ["q", "r"], "relations": 1, "initial": "q",
+                "accepting": ["r"],
+                "delta": {"0": [{"guards": [{"rel": 1, "op": "supseteq",
+                                             "set": ["q"]}], "to": "r"},
+                                {"guards": [], "to": "q"}],
+                          "1": [{"guards": [], "to": "r"}]}},
+        "dfa": dfa_json_dict(gens.random_dfa(random.Random(3))),
+        "ta": ta_json_dict(gens.random_tree_automaton(random.Random(3))),
+        "tm": tm_json_dict(zoo.sample_turing_machines()[0]),
+        "ts": ts_to_json_dict(zoo.even_width_tiling_system()),
+        "grid": graphs.to_json_dict(graphs.grid(2, 2)),
+        "p1": graphs.to_json_dict(graphs.dipath(1)),
+        "mu": print_mu(zoo.reachability_mu_system()),
+        "mso": "(exists x (in P1 x))",
+    }
+
+
+# Each verb with its file arguments written as @name.  The graphs
+# stay small and --max-nodes, --samples low so that every run is short.
+_VERB_ARGV = [
+    ["run", "@a", "@g"], ["accept", "@a", "@g"],
+    ["accept-timed", "@a", "@g", "@t"],
+    ["falsify-async", "@a", "@g", "--samples", "3", "--seed", "0"],
+    ["compile-mu", "@mu", "--bits", "1", "--accept", "@g"],
+    ["decompile-qda", "@a"],
+    ["compile-mso", "@mso", "--bits", "1", "--accept", "@g"],
+    ["alt-accept", "@alt", "@g0"],
+    ["alt-closure", "complement", "@alt", "--accept", "@g0"],
+    ["alt-closure", "union", "@alt", "--second", "@alt"],
+    ["alt-closure", "project", "@alt1", "--mapping", "@map",
+     "--accept", "@g"],
+    ["empty-forgetful", "@fda"], ["empty-nldag", "@alt", "--max-nodes", "2"],
+    ["search-witness", "@a", "--max-nodes", "2"], ["dfa2fda", "@dfa"],
+    ["fda2dfa", "@fda"], ["ta2fda", "@ta"], ["tm2da", "@tm", "--accept", "@p1"],
+    ["ts-recognize", "@ts", "@grid"], ["grid-check", "@grid"],
+]
+_OTHER_TYPES = [None, True, 5, 1.5, "x", "", [], {}, [5], ["x"], {"x": 5}]
+
+
+def _paths(obj, at=()):
+    yield at
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, at + (key,))
+
+
+def _mutate(obj, pick, edit, other, number):
+    """``obj`` with one edit at the path ``pick`` selects: its key dropped,
+    its value replaced by ``other``, a list emptied or nested, or an integer
+    moved to ``number``."""
+    paths = list(_paths(obj))[1:]
+    if not paths:
+        return obj
+    path = paths[pick % len(paths)]
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    if edit == "drop" and isinstance(parent, dict):
+        del parent[key]
+    elif edit == "empty" and isinstance(value, list):
+        parent[key] = []
+    elif edit == "nest" and isinstance(value, list):
+        parent[key] = [value]
+    elif edit == "number" and type(value) is int:
+        parent[key] = number
+    else:
+        parent[key] = copy.deepcopy(other)
+    return obj
+
+
+# Integers stay within -2..9: each interned state's key has one bit per
+# state and slot, so its size grows with the square of the relation count
+# (a 1-state automaton on a 2-node digraph with 20,000 relations peaks at
+# about 52 MB), and a mutated relation count of 10^6 would need tens of GB.
+_JSON_EDITS = st.lists(st.tuples(
+    st.integers(0, 10 ** 6), st.sampled_from(["drop", "replace", "empty",
+                                               "nest", "number"]),
+    st.sampled_from(_OTHER_TYPES), st.integers(-2, 9)), min_size=1, max_size=3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=st.sampled_from(_VERB_ARGV), which=st.integers(0, 3),
+       edits=_JSON_EDITS)
+@example(argv=["search-witness", "@a", "--max-nodes", "2"], which=0,
+         edits=[(255, "replace", "", 0)])  # an empty init names no labels
+def test_every_verb_reports_every_mutated_json(argv, which, edits):
+    files = copy.deepcopy(_verb_files())
+    names = [a[1:] for a in argv
+             if a.startswith("@") and isinstance(files[a[1:]], dict)]
+    target = names[which % len(names)]
+    for pick, edit, other, number in edits:
+        files[target] = _mutate(files[target], pick, edit, other, number)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(_write_files(tmp, files, argv))
+    report = json.loads(out.getvalue())  # exactly one JSON document
+    assert report["schema"] == "disto/1" and code in (0, 1, 2)
+    assert (code == 1) == (report["verdict"] in ("input-error",
+                                                 "limit-exceeded"))
+
+
+def _edited(name, path, value):
+    """The verb files with the value at ``path`` in file ``name`` set."""
+    files = copy.deepcopy(_verb_files())
+    *parents, key = path
+    at = files[name]
+    for k in parents:
+        at = at[k]
+    at[key] = value
+    return files
+
+
+@pytest.mark.parametrize("argv,files,message", [
+    (["accept", "@a", "@g"], _edited("a", ["states"], 5),
+     "states must be a list of strings, got 5"),
+    (["accept", "@a", "@g"], _edited("a", ["rules"], [5]),
+     "TypeError: 'int' object is not subscriptable"),
+    (["accept", "@a", "@g"], _edited("a", ["rules", 0, "guards"], "x"),
+     "TypeError: string indices must be integers"),
+    (["grid-check", "@grid"], _edited("grid", ["nodes"], 5),
+     "TypeError: 'int' object is not iterable"),
+    (["grid-check", "@grid"], _edited("grid", ["nodes", 0, "label"], 5),
+     "label of node 0 is not a 0-bit string"),
+    (["alt-accept", "@alt", "@g0"],
+     _edited("alt", ["states"], ["ini", "yes", "no"]),
+     "TypeError: string indices must be integers"),
+    (["ts-recognize", "@ts", "@grid"], _edited("ts", ["tiles"], 5),
+     "TypeError: 'int' object is not iterable"),
+    (["tm2da", "@tm", "--accept", "@p1"], _edited("tm", ["delta"], 5),
+     "TypeError: 'int' object is not iterable"),
+    (["fda2dfa", "@fda"], _edited("fda", ["delta"], []),
+     "AttributeError: 'list' object has no attribute 'items'"),
+    (["ta2fda", "@ta"], _edited("ta", ["delta", 0, 0], 5),
+     "children must be a list of strings, got 5"),
+    (["alt-closure", "project", "@alt", "--mapping", "@map"],
+     dict(_verb_files(), map={"": 5}),
+     "projection image labels must be bitstrings"),
+    (["alt-closure", "project", "@alt1", "--mapping", "@map"],
+     _edited("map", ["0"], 5), "projection image labels must be bitstrings"),
+    (["alt-accept", "@alt", "@g0"],
+     _edited("alt", ["rules", 1, "to"], [["yes"]]),
+     "rule targets must be a list of strings"),
+    (["accept", "@a", "@g"], _edited("a", ["init", "0"], ["x"]),
+     "TypeError: unhashable type: 'list'"),
+    (["accept", "@a", "@g"], _edited("a", ["init", "0"], "ghost"),
+     "ValueError: initial states"),
+    (["alt-accept", "@alt", "@g0"],
+     _edited("alt", ["accepting_sets", 0], ["ghost"]),
+     "name undeclared states"),
+], ids=["states-5", "rules-[5]", "guards-x", "nodes-5", "label-5",
+        "alt-states-strings", "tiles-5", "tm-delta-5", "fda-delta-[]",
+        "ta-children-5", "mapping-empty-label-5", "mapping-5",
+        "alt-target-list", "init-list", "init-undeclared",
+        "accepting-undeclared"])
+def test_malformed_files_get_one_input_error(capsys, tmp_path, argv, files,
+                                             message):
+    code, out = run_cli(capsys, *_write_files(str(tmp_path), files, argv))
+    assert code == 1 and out["verdict"] == "input-error"
+    assert message in out["details"]["message"]
+
+
+def test_a_directory_as_the_path_is_an_input_error(capsys, tmp_path,
+                                                   edge_graph_file):
+    for argv in (["alt-accept", str(tmp_path), edge_graph_file],
+                 ["compile-mso", str(tmp_path)]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1 and out["verdict"] == "input-error"
+        assert out["details"]["message"] == f"{tmp_path}: Is a directory"
+
+
+def test_gen_refuses_negative_bits(capsys):
+    code, out = run_cli(capsys, "gen", "dipath", "--n", "2", "--bits", "-1")
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"] == "bits must be an integer >= 0"
+
+
+@pytest.mark.parametrize("labels,verdict", [(["1", "0"], "accepted"),
+                                             (["0", "0"], "rejected")])
+def test_compile_mso_reads_label_constants(capsys, tmp_path, labels, verdict):
+    f = tmp_path / "f.sexp"
+    f.write_text("(exists x (in P1 x))")
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(graphs.to_json_dict(
+        graphs.make(1, 1, labels, [(1, 0, 1)]))))
+    code, out = run_cli(capsys, "compile-mso", str(f), "--bits", "1",
+                        "--accept", str(g))
+    assert code == 0 and out["verdict"] == verdict
+
+
+def test_every_library_error_is_a_value_error_or_a_limit():
+    found = set()
+    for info in pkgutil.iter_modules(disto.__path__):
+        module = __import__(f"disto.{info.name}", fromlist=["_"])
+        found |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, BaseException)
+                  and cls.__module__ == module.__name__}
+    limits = {automata.HorizonExceeded, automata.ClassificationInfeasible}
+    assert len(found) >= 14
+    assert all(issubclass(cls, ValueError) for cls in found - limits)

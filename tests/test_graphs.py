@@ -60,11 +60,6 @@ def test_grid_passes_all_grid_conditions(h, w):
     assert grid_validate(grid(h, w)) is None
 
 
-def test_single_root_ordered_ditree():
-    pd = graphs.generate("ordered-ditree")
-    assert pd.digraph.n == 1 and pd.point == 0 and not pd.digraph.edges
-
-
 def test_enumeration_counts_match_closed_form():
     per_n = {n: 0 for n in (1, 2)}
     for d in enumerate_digraphs(2, bits=0, rels=1):
@@ -77,11 +72,6 @@ def test_enumeration_counts_with_labels_and_relations():
     count = sum(1 for d in enumerate_digraphs(2, bits=1, rels=2)
                 if d.n == 2)
     assert count == graphs.counting_formula(2, 1, 2)
-
-
-def test_enumerate_dipaths():
-    paths = list(enumerate_digraphs(2, bits=0, rels=1, kind="dipath"))
-    assert len(paths) == 2
 
 
 def test_enumeration_refuses_large_bound():

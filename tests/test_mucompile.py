@@ -9,7 +9,7 @@ from disto.formulas import MuEvaluator, MuSystem, eval_mu
 from disto.graphs import enumerate_digraphs
 from disto.mucompile import (ClassError, compile_mu_to_aqda, compute_enables,
                              compute_traces, decompile_qda_to_mu,
-                             history_successors, successor_map, trace_var)
+                             successor_map, trace_var)
 
 import gens
 
@@ -136,16 +136,6 @@ def test_enables_fixpoint_unique_and_monotone():
     assert r1.pairs == r2.pairs
     restricted = compute_enables(a, restrict_to_initial=True)
     assert restricted.pairs <= r1.pairs
-
-
-def test_history_step_relation():
-    a = chain_two_states()
-    succ = successor_map(a)
-    hist = frozenset({("q0",)})
-    succs = set(history_successors(hist, succ))
-    assert frozenset({("q0",)}) in succs
-    assert frozenset({("q0", "q1")}) in succs
-    assert frozenset({("q0",), ("q0", "q1")}) in succs
 
 
 # ---------------------------------------------------------------------------
