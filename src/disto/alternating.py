@@ -116,46 +116,40 @@ class AltAutomaton:
 
 
     def successors_superset(self) -> dict:
-        if self.succ_map is not None:
-            return self.succ_map
-        if len(self.states) * self.rels > ENUM_LIMIT:
-            raise AltError("state space too large to enumerate transitions; "
-                           "no successor map attached")
-        succ = {}
-        for q in self.states:
-            targets = set()
-            for nvec in all_nvecs(self.states, self.rels):
-                targets |= self.step(q, nvec)
-            succ[q] = frozenset(targets)
-        return succ
+        """state -> every state its transitions can reach.  Without a map
+        supplied, the first call enumerates every neighbourhood and
+        attaches the result as ``succ_map``."""
+        if self.succ_map is None:
+            if len(self.states) * self.rels > ENUM_LIMIT:
+                raise AltError("state space too large to enumerate "
+                               "transitions; no successor map attached")
+            nvecs = list(all_nvecs(self.states, self.rels))
+            succ = {}
+            for q in self.states:
+                targets = set()
+                for nvec in nvecs:
+                    targets |= self.step(q, nvec)
+                succ[q] = frozenset(targets)
+            self.succ_map = succ
+        return self.succ_map
 
 
 # ---------------------------------------------------------------------------
 # Validation: the level conditions
 
-@dataclass(frozen=True)
-class LevelReport:
-    ok: bool
-    levels: dict | None
-    violation: str | None
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_alt(a: AltAutomaton) -> LevelReport:
-    """Derive the unique level assignment or report the violated condition."""
-    try:
-        succ = a.successors_superset()
-    except AltError as e:
-        return LevelReport(False, None, str(e))
+def validate_alt(a: AltAutomaton) -> dict:
+    """The unique level assignment, derived on the first call and kept on
+    the automaton.  Raises ``AltError`` naming the first violated level
+    condition, ``MixedConfiguration`` for a level of both E and U states."""
+    if "_levels" in a.__dict__:
+        return a._levels
+    succ = a.successors_superset()
     perm = a.permanent()
     nonperm = [q for q in a.states if a.kind[q] != "P"]
 
     for p in perm:
         if succ[p] != {p}:
-            return LevelReport(
-                False, None,
+            raise AltError(
                 f"permanent state {p!r} has a non-self-loop transition")
 
     incoming: dict = {q: set() for q in nonperm}
@@ -181,16 +175,14 @@ def validate_alt(a: AltAutomaton) -> LevelReport:
                     levels[q2] = want
                     nxt.append(q2)
                 elif have != want:
-                    return LevelReport(
-                        False, None,
+                    raise AltError(
                         f"state {q2!r} would need levels {have} and {want}; "
                         f"transitions must go from one level to the next")
         frontier = nxt
         i += 1
     missing = [q for q in nonperm if q not in levels]
     if missing:
-        return LevelReport(
-            False, None,
+        raise AltError(
             f"states {missing} have incoming transitions but no consistent "
             f"level (cycle among nonpermanent states)")
 
@@ -200,8 +192,7 @@ def validate_alt(a: AltAutomaton) -> LevelReport:
     for lv, qs in sorted(by_level.items()):
         kinds = {a.kind[q] for q in qs}
         if len(kinds) > 1:
-            return LevelReport(
-                False, None,
+            raise MixedConfiguration(
                 f"level {lv} mixes state types {sorted(kinds)}")
 
     top = (max(levels.values()) + 1) if levels else 0
@@ -210,18 +201,15 @@ def validate_alt(a: AltAutomaton) -> LevelReport:
 
     for label, q in a.init.items():
         if a.kind[q] != "P" and levels.get(q, -1) != 0:
-            return LevelReport(
-                False, None,
+            raise AltError(
                 f"initial state {q!r} (label {label!r}) is neither on the "
                 f"lowest level nor permanent")
-    return LevelReport(True, levels, None)
+    a._levels = levels
+    return levels
 
 
 def length(a: AltAutomaton) -> int:
-    report = validate_alt(a)
-    if not report:
-        raise AltError(f"invalid automaton: {report.violation}")
-    return max(report.levels.values())
+    return max(validate_alt(a).values())
 
 
 def is_nondeterministic(a: AltAutomaton) -> bool:
@@ -290,10 +278,14 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
     from the memo is decoded and passed to ``a.step``.  States are interned
     up front in declared order, so option tuples sort as the states are
     declared; ``a.step`` refuses a delta target outside ``a.states``.
+    Before its first game the automaton must pass ``validate_alt``, so
+    every play reaches a permanent configuration within ``length(a)``
+    rounds.
     """
     if a.rels != d.rels:
         raise AltError(f"automaton has {a.rels} relations, digraph {d.rels}")
     if "_interned" not in a.__dict__:
+        validate_alt(a)
         ix = _Interned(a.rels)
         for q in a.states:
             ix.intern(q)
@@ -321,7 +313,7 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
                         frozenset(names[i] for i in occ))
                     acc_memo[occ] = out
                 break
-            if mask == 3:
+            if mask == 3:  # only past a supplied succ_map that misses targets
                 raise MixedConfiguration(
                     "configuration mixes existential and universal states")
             received = [b for q in conf for b in bits[q]]
@@ -400,10 +392,7 @@ def normalize_profile(a: AltAutomaton) -> AltAutomaton:
     grow lengths linearly.
     """
     a = prune_reachable(a)
-    report = validate_alt(a)
-    if not report:
-        raise AltError(f"cannot normalize invalid automaton: {report.violation}")
-    levels = report.levels
+    levels = validate_alt(a)
     perm = a.permanent()
     nonperm = [q for q in a.states if a.kind[q] != "P"]
     if not nonperm:
@@ -573,16 +562,14 @@ def intersect(a: AltAutomaton, b: AltAutomaton) -> AltAutomaton:
         raise AltError("intersection needs matching alphabet and relations")
     a = prune_reachable(a)
     b = prune_reachable(b)
-    ra, rb = validate_alt(a), validate_alt(b)
-    if not ra or not rb:
-        raise AltError("intersection needs valid operands")
+    la, lb = validate_alt(a), validate_alt(b)
     perm_a, perm_b = a.permanent(), b.permanent()
 
     def compatible(q1, q2) -> bool:
         p1, p2 = q1 in perm_a, q2 in perm_b
         if p1 or p2:
             return True
-        return ra.levels[q1] == rb.levels[q2]
+        return la[q1] == lb[q2]
 
     pairs = [(q1, q2) for q1 in a.states for q2 in b.states
              if compatible(q1, q2)]

@@ -85,9 +85,9 @@ def forgetful_emptiness(a: ForgetfulAutomaton) -> EmptinessVerdict:
 
 
 def forgetful_witness(a: ForgetfulAutomaton, t: int, q: str) -> PointedDigraph:
-    """A pointed digraph whose point visits q at time t, built recursively:
-    one generating (letter, neighborhoods) pair per needed state, a fresh
-    root wired to recursively constructed witnesses for time t-1."""
+    """A pointed digraph whose point visits q at time t: one generating
+    (letter, neighborhoods) pair per needed state, a fresh root wired to
+    separately constructed witnesses for time t-1."""
     generators: list[dict] = [{}]
     current = frozenset({a.initial})
     for _ in range(t):
@@ -103,30 +103,33 @@ def forgetful_witness(a: ForgetfulAutomaton, t: int, q: str) -> PointedDigraph:
 
     bits = len(a.letters[0])
 
-    def build(time: int, state: str):
-        """Returns (labels, edges, point) with local ids."""
-        if time == 0:
-            letter = a.letters[0]
-            return [letter], [], 0
-        letter, nvec = generators[time][state]
-        labels: list[str] = []
-        edges: list[tuple[int, int, int]] = []
-        feeders: dict[str, int] = {}
-        needed = sorted({s for comp in nvec for s in comp})
-        for s in needed:
-            sub_labels, sub_edges, sub_point = build(time - 1, s)
-            offset = len(labels)
-            labels.extend(sub_labels)
-            edges.extend((r, u + offset, v + offset) for (r, u, v) in sub_edges)
-            feeders[s] = sub_point + offset
+    def frame(time: int, state: str):
+        """(time, letter, nvec, needed states, their feeder ids) of a
+        node; a time-0 node is a leaf with the first letter."""
+        letter, nvec = (generators[time][state] if time
+                        else (a.letters[0], ()))
+        return time, letter, nvec, sorted({s for c in nvec for s in c}), {}
+
+    # post-order on an explicit stack: each node's feeders, in sorted
+    # order of the states they deliver, get ids before the node itself
+    labels: list[str] = []
+    edges: list[tuple[int, int, int]] = []
+    stack = [frame(t, q)]
+    while True:
+        time, letter, nvec, needed, feeders = stack[-1]
+        if len(feeders) < len(needed):
+            stack.append(frame(time - 1, needed[len(feeders)]))
+            continue
         root = len(labels)
         labels.append(letter)
         for k, comp in enumerate(nvec, start=1):
             for s in comp:
                 edges.append((k, feeders[s], root))
-        return labels, edges, root
-
-    labels, edges, root = build(t, q)
+        stack.pop()
+        if not stack:
+            break
+        _, _, _, parent_needed, parent_feeders = stack[-1]
+        parent_feeders[parent_needed[len(parent_feeders)]] = root
     witness = make(bits, a.rels, labels, edges, point=root)
     run = forgetful_run(a, witness.digraph)
     if run.state_at(t, witness.point) != q:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .automata import DistributedAutomaton, _has_nontrivial_cycle, state_diagram
 from .formulas import (And, BBox, BDia, Bot, In, MuSystem, Not, Or, Top,

@@ -16,6 +16,8 @@ from .automata import (DistributedAutomaton, ForgetfulAutomaton, _names,
                        _positive)
 from .graphs import PointedDigraph, dipath, subsets
 
+TM_WINDOW_LIMIT = 100_000  # max window states tm_to_da builds
+
 
 @dataclass(frozen=True)
 class Dfa:
@@ -238,6 +240,10 @@ def tm_to_da(m: TuringMachine) -> DistributedAutomaton:
     W = "."
     if W in m.tape or W in m.states:
         raise ValueError("'.' is reserved for the waiting symbol")
+    windows = (1 + len(m.states) * len(m.tape) + len(m.tape)) ** 3
+    if windows > TM_WINDOW_LIMIT:
+        raise ValueError(f"tm_to_da would build {windows} window states; "
+                         f"the cap is {TM_WINDOW_LIMIT}")
     headed = [(q, s) for q in m.states for s in m.tape]
     cellvals = [W] + headed + list(m.tape)
 

@@ -265,3 +265,33 @@ def unreachable_accepting_nldag_json() -> dict:
         "rules": [{"from": q, "guards": [], "to": [q]} for q in states],
         "accepting_sets": [["q"]],
     }
+
+
+def cyclic_aldag_json(a_to: list) -> dict:
+    """E states a, b and permanent p over the empty label, with a -> a_to,
+    b -> [a] and p -> [p]: a and b lie on a cycle, so no level assignment
+    exists."""
+    return {
+        "states": [{"name": "a", "kind": "E"}, {"name": "b", "kind": "E"},
+                   {"name": "p", "kind": "P"}],
+        "relations": 1,
+        "init": {"": "a"},
+        "rules": [{"from": "a", "guards": [], "to": a_to},
+                  {"from": "b", "guards": [], "to": ["a"]},
+                  {"from": "p", "guards": [], "to": ["p"]}],
+        "accepting_sets": [["p"]],
+    }
+
+
+def forgetful_chain_json(steps: int) -> dict:
+    """One letter; a node moves to s{i+1} when it receives exactly s{i},
+    else to z.  Only s{steps} accepts, so every witness holds a chain of
+    steps + 1 nodes."""
+    chain = [f"s{i}" for i in range(steps + 1)]
+    return {
+        "states": ["z"] + chain, "relations": 1, "initial": "s0",
+        "accepting": [chain[-1]],
+        "delta": {"": [{"guards": [{"rel": 1, "op": "eq", "set": [s]}],
+                        "to": t} for s, t in zip(chain, chain[1:])]
+                  + [{"guards": [], "to": "z"}]},
+    }

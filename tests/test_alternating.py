@@ -46,17 +46,15 @@ def test_all_permanent_automaton_valid():
     a = AltAutomaton(states=("p",), kind={"p": "P"}, rels=1,
                      init={"": "p"}, delta=lambda q, n: frozenset({q}),
                      accepting=explicit({"p"}))
-    rep = validate_alt(a)
-    assert rep.ok and rep.levels == {"p": 0}
+    assert validate_alt(a) == {"p": 0}
     assert length(a) == 0
 
 
 def test_three_col_levels():
-    rep = validate_alt(zoo.three_col_aldag())
-    assert rep.ok
-    assert rep.levels["ini"] == 0
-    assert {rep.levels[c] for c in ("c1", "c2", "c3")} == {1}
-    assert rep.levels["yes"] == rep.levels["no"] == 2
+    levels = validate_alt(zoo.three_col_aldag())
+    assert levels["ini"] == 0
+    assert {levels[c] for c in ("c1", "c2", "c3")} == {1}
+    assert levels["yes"] == levels["no"] == 2
 
 
 def test_level_conflict_detected():
@@ -69,9 +67,8 @@ def test_level_conflict_detected():
                      kind={"a": "E", "b": "E", "c": "E", "p": "P"},
                      rels=1, init={"": "a"}, delta=delta,
                      accepting=explicit({"p"}))
-    rep = validate_alt(a)
-    assert not rep.ok
-    assert "level" in rep.violation
+    with pytest.raises(AltError, match="level"):
+        validate_alt(a)
 
 
 def test_mixed_type_level_detected():
@@ -83,8 +80,8 @@ def test_mixed_type_level_detected():
                      kind={"a": "E", "b": "U", "p": "P"},
                      rels=1, init={"": "a"}, delta=delta,
                      accepting=explicit({"p"}))
-    rep = validate_alt(a)
-    assert not rep.ok and "mixes" in rep.violation
+    with pytest.raises(alt.MixedConfiguration, match="mixes"):
+        validate_alt(a)
 
 
 def test_permanent_self_loop_enforced():
@@ -92,8 +89,8 @@ def test_permanent_self_loop_enforced():
                      init={"": "p"},
                      delta=lambda q, n: frozenset({"q"}),
                      accepting=explicit({"q"}))
-    rep = validate_alt(a)
-    assert not rep.ok and "self-loop" in rep.violation
+    with pytest.raises(AltError, match="self-loop"):
+        validate_alt(a)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def test_game_matches_oracle_on_two_relations():
             ("a", [], ["yes"]),
             ("b", [(2, "supseteq", ["b"])], ["no"]),
             ("b", [], ["yes"])])
-    assert validate_alt(a).ok
+    validate_alt(a)
     rng = random.Random(51)
     pairs = [(r, u, v) for r in (1, 2) for u in range(3) for v in range(3)]
     family = list(enumerate_digraphs(2, bits=0, rels=2))
@@ -239,7 +236,7 @@ def test_game_matches_oracle_on_labelled_digraphs():
             ("x", [], ["yes", "no"]),
             ("y", [(1, "supseteq", ["x"])], ["no"]),
             ("y", [], ["yes"])], accepting=(["yes"],))
-    assert validate_alt(a).ok
+    validate_alt(a)
     family = list(enumerate_digraphs(3, bits=1, rels=1, iso_reduce=True))
     agrees(a, family)
     assert {decide_acceptance_alt(a, d) for d in family} == {True, False}
@@ -286,7 +283,8 @@ def test_game_raises_on_mixed_configuration():
     for decide in (decide_acceptance_alt, accepting_run_exists):
         with pytest.raises(alt.MixedConfiguration):
             decide(a, star(2))
-    agrees(a, [make(0, 1, ["", ""], [])])
+    with pytest.raises(alt.MixedConfiguration):
+        decide_acceptance_alt(a, make(0, 1, ["", ""], []))
 
 
 def test_game_successor_cap(monkeypatch):
@@ -304,7 +302,18 @@ def test_game_refuses_undeclared_delta_target():
     for decide in (decide_acceptance_alt, accepting_run_exists):
         with pytest.raises(AltError, match="ghost"):
             decide(a, star(2))
-    agrees(a, [make(0, 1, ["", ""], [])])
+    with pytest.raises(AltError, match="ghost"):
+        decide_acceptance_alt(a, make(0, 1, ["", ""], []))
+
+
+@pytest.mark.parametrize("a_to", [["b"], ["b", "p"]])
+def test_game_refuses_a_cycle_among_nonpermanent_states(a_to):
+    # a play on either never reaches a permanent configuration, even on a
+    # 1-node digraph
+    a = alt.from_json_dict(gens.cyclic_aldag_json(a_to))
+    for b in (a, complement(a)):
+        with pytest.raises(AltError, match="cycle among nonpermanent"):
+            decide_acceptance_alt(b, make(0, 1, [""], []))
 
 
 def test_game_relation_count_must_match():
@@ -343,7 +352,7 @@ def test_complement_swaps_language():
 def test_union_tautology():
     a = zoo.three_col_aldag()
     u = union(a, complement(a))
-    assert validate_alt(u).ok
+    validate_alt(u)
     for d in sweep(2):
         assert decide_acceptance_alt(u, d)
 
@@ -353,7 +362,7 @@ def test_union_language():
     a = gens.random_nldag(rng)
     b = gens.random_nldag(rng)
     u = union(a, b)
-    assert validate_alt(u).ok
+    validate_alt(u)
     for d in sweep(2):
         assert decide_acceptance_alt(u, d) == (
             decide_acceptance_alt(a, d) or decide_acceptance_alt(b, d))
@@ -364,7 +373,7 @@ def test_intersection_language_and_class_guard():
     a = gens.random_nldag(rng)
     b = gens.random_nldag(rng)
     x = intersect(a, b)
-    assert validate_alt(x).ok
+    validate_alt(x)
     for d in sweep(2):
         assert decide_acceptance_alt(x, d) == (
             decide_acceptance_alt(a, d) and decide_acceptance_alt(b, d))
@@ -380,7 +389,7 @@ def test_projection_language():
                      init={"0": "ini", "1": "ini"}, delta=a3.delta,
                      accepting=a3.accepting, succ_map=a3.succ_map)
     p = project(a, {"0": "", "1": ""})
-    assert validate_alt(p).ok
+    validate_alt(p)
     for d in sweep(2, bits=0):
         want = any(
             decide_acceptance_alt(a, d.relabel(labels, bits=1))
@@ -398,10 +407,8 @@ def test_projection_rejects_unmapped_labels():
 def test_normalize_profile_preserves_language():
     for a in (zoo.three_col_aldag(), zoo.non_three_col_aldag()):
         norm = normalize_profile(a)
-        assert validate_alt(norm).ok
-        rep = validate_alt(norm)
         by_level = {}
-        for q, lv in rep.levels.items():
+        for q, lv in validate_alt(norm).items():
             if norm.kind[q] != "P":
                 by_level.setdefault(lv, set()).add(norm.kind[q])
         for lv, kinds in by_level.items():
@@ -420,7 +427,7 @@ def test_apply_closure_dispatch():
 
 def test_concentric_circles_automaton():
     a = zoo.concentric_circles_aldag()
-    assert validate_alt(a).ok
+    validate_alt(a)
     A, B, C = "00", "01", "10"
     good = make(2, 1, [B, B, A], [(1, 0, 2), (1, 1, 2)])
     assert decide_acceptance_alt(a, good)
@@ -464,14 +471,14 @@ def test_compile_trivial_sentences():
 def test_compile_full_set_sentence():
     f = fm.ExistsSet("X", fm.ForallNode("x", fm.In("X", "x")))
     a = compile_mso_to_aldag(f, bits=0, rels=1)
-    assert validate_alt(a).ok
+    validate_alt(a)
     for d in sweep(2):
         assert decide_acceptance_alt(a, d)
 
 
 def test_compile_edgeless_sentence():
     a = compile_mso_to_aldag(zoo.edgeless_sentence(), bits=0, rels=1)
-    assert validate_alt(a).ok
+    validate_alt(a)
     for d in sweep(3):
         assert decide_acceptance_alt(a, d) == (not d.edges)
 
@@ -501,7 +508,7 @@ def test_compiled_outputs_validate(mu_corpus):
     for _ in range(4):
         f = gens.random_mso_sentence(rng, bits=0, qdepth=2)
         a = compile_mso_to_aldag(f, bits=0, rels=1)
-        assert validate_alt(a).ok
+        validate_alt(a)
 
 
 @pytest.mark.parametrize("quantifier", ["exists", "forall"])
@@ -613,7 +620,34 @@ def test_validate_alt_checks_every_neighbourhood_of_a_permanent_state():
                      rels=1, init={"": "i"}, delta=RuleDelta(rules),
                      accepting=explicit({"p"}))
     assert a.successors_superset()["p"] == {"p", "q"}
-    report = validate_alt(a)
-    assert not report.ok
-    assert report.violation == (
+    with pytest.raises(AltError) as caught:
+        validate_alt(a)
+    assert str(caught.value) == (
         "permanent state 'p' has a non-self-loop transition")
+
+
+def test_levels_are_derived_once_per_automaton(monkeypatch):
+    calls = []
+    enumerate_all = alt.all_nvecs
+    monkeypatch.setattr(alt, "all_nvecs",
+                        lambda *args: calls.append(args) or
+                        enumerate_all(*args))
+    a = rule_automaton(
+        "z:E o:E x:U y:U yes:P no:P", {"0": "z", "1": "o"}, rules=[
+            ("z", [], ["x"]), ("o", [], ["x", "y"]),
+            ("x", [], ["yes"]), ("y", [(1, "eq", [])], ["no"]),
+            ("y", [], ["yes"])], accepting=(["yes"],))
+    b = rule_automaton(
+        "s:E yes:P no:P", {"0": "s", "1": "yes"}, rules=[
+            ("s", [(1, "supseteq", ["yes"])], ["yes"]),
+            ("s", [], ["yes", "no"])], accepting=(["yes"],))
+    union(a, b)
+    assert len(calls) == 2  # one enumeration per operand
+    calls.clear()
+    d = make(1, 1, ["0", "1"], [(1, 0, 1)])
+    for _ in range(2):
+        for x in (a, b):
+            assert validate_alt(x) is validate_alt(x)
+            assert length(x) == max(validate_alt(x).values())
+            decide_acceptance_alt(x, d)
+    assert not calls

@@ -9,6 +9,7 @@ import pkgutil
 import random
 import re
 import tempfile
+import typing
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -179,6 +180,16 @@ def test_empty_forgetful_verbs(capsys, tmp_path):
     assert witness.digraph.n == 1
 
 
+def test_empty_forgetful_builds_a_deep_witness(capsys, tmp_path):
+    f = tmp_path / "chain.json"
+    f.write_text(json.dumps(gens.forgetful_chain_json(1100)))
+    code, out = run_cli(capsys, "empty-forgetful", str(f))
+    assert code == 0 and out["verdict"] == "nonempty"
+    assert out["details"]["time"] == 1100
+    witness = graphs.from_json_dict(out["details"]["witness"])
+    assert witness.digraph.n == 1101
+
+
 def test_tm2da_verb(capsys, tmp_path):
     tm = tmp_path / "tm.json"
     tm.write_text(json.dumps(tm_json_dict(zoo.sample_turing_machines()[0])))
@@ -307,6 +318,20 @@ def test_alt_accept_and_closure_verbs(capsys, tmp_path):
     code, out = run_cli(capsys, "alt-closure", "union", str(f),
                         "--second", str(f), "--accept", str(g))
     assert out["verdict"] == "accepted"
+
+
+@pytest.mark.parametrize("a_to", [["b"], ["b", "p"]])
+def test_alt_verbs_refuse_a_cycle_among_nonpermanent_states(capsys, tmp_path,
+                                                            a_to):
+    f = tmp_path / "cycle.json"
+    f.write_text(json.dumps(gens.cyclic_aldag_json(a_to)))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(graphs.to_json_dict(graphs.make(0, 1, [""], []))))
+    for argv in (["alt-accept", str(f), str(g)],
+                 ["alt-closure", "complement", str(f), "--accept", str(g)]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 1 and out["verdict"] == "input-error"
+        assert "cycle among nonpermanent states" in out["details"]["message"]
 
 
 def test_dfa2fda_and_ta2fda_verbs(capsys, tmp_path):
@@ -768,13 +793,34 @@ def test_compile_mso_reads_label_constants(capsys, tmp_path, labels, verdict):
     assert code == 0 and out["verdict"] == verdict
 
 
+def _disto_modules():
+    for info in pkgutil.iter_modules(disto.__path__):
+        yield __import__(f"disto.{info.name}", fromlist=["_"])
+
+
 def test_every_library_error_is_a_value_error_or_a_limit():
     found = set()
-    for info in pkgutil.iter_modules(disto.__path__):
-        module = __import__(f"disto.{info.name}", fromlist=["_"])
+    for module in _disto_modules():
         found |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
                   if issubclass(cls, BaseException)
                   and cls.__module__ == module.__name__}
     limits = {automata.HorizonExceeded, automata.ClassificationInfeasible}
     assert len(found) >= 14
     assert all(issubclass(cls, ValueError) for cls in found - limits)
+
+
+def test_every_annotation_resolves():
+    # the modules postpone annotations, so a name missing from an import
+    # shows only when something reads the hints
+    checked = 0
+    for module in _disto_modules():
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for f in (obj, *members):
+                f = getattr(f, "__func__", getattr(f, "fget", f))
+                if inspect.isfunction(f) or inspect.isclass(f):
+                    typing.get_type_hints(f)
+                    checked += 1
+    assert checked > 500

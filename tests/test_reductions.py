@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from disto import zoo
+from disto import reductions, zoo
 from disto.automata import (decide_acceptance_forgetful,
                             decide_acceptance_sync, forgetful_run,
                             monovisioned_transform, sync_run)
@@ -264,6 +264,22 @@ def test_tm_validation():
     with pytest.raises(ValueError):
         TuringMachine(states=("h",), tape=("_",), initial="h", blank="_",
                       delta={}, halt="h")
+
+
+def test_tm_to_da_refuses_more_windows_than_its_cap():
+    # (1 + 9·9 + 9)^3 = 753,571 window states; workloads.counter_tm(6),
+    # the largest machine the benchmark converts, needs 17^3 = 4,913
+    states = tuple(f"q{i}" for i in range(8)) + ("h",)
+    tape = tuple("_abcdefgh")
+    m = TuringMachine(states=states, tape=tape, initial="q0", blank="_",
+                      delta={(q, s): ("h", s, "R")
+                             for q in states[:-1] for s in tape}, halt="h")
+    with pytest.raises(ValueError, match="753571 window states; the cap "
+                                         "is 100000"):
+        tm_to_da(m)
+    assert all((1 + len(z.states) * len(z.tape) + len(z.tape)) ** 3
+               <= reductions.TM_WINDOW_LIMIT
+               for z in zoo.sample_turing_machines())
 
 
 def test_json_roundtrips():
