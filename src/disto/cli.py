@@ -9,6 +9,7 @@ prints a canonical JSON report: {"schema": "disto/1", "verdict": ...,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -281,7 +282,11 @@ def cmd_gen(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: each ``parse_args`` fills a fresh ``Namespace``, and each verb's
+    handler is bound here through ``set_defaults(fn=...)``."""
     p = argparse.ArgumentParser(prog="disto")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 on rejecting/empty verdicts")

@@ -245,12 +245,16 @@ def decompile_qda_to_mu(a: DistributedAutomaton) -> MuSystem:
     bits = _infer_bits(a)
 
     names = ["X1"] + [trace_var(t) for t in traces]
-    bodies: list = [_accept_body(a, traces)]
+    # one atom and one backward diamond per trace, shared by every body
+    # (AST nodes are frozen)
+    atoms = {t: In(name) for t, name in zip(traces, names[1:])}
+    seen = {t: BDia(1, (atom,)) for t, atom in atoms.items()}
+    bodies: list = [_accept_body(a, traces, atoms)]
     for trace in traces:
         if len(trace) == 1:
             bodies.append(_init_body(a, trace[0], bits))
         else:
-            bodies.append(_transition_body(trace, enables))
+            bodies.append(_transition_body(trace, enables, atoms, seen))
     return MuSystem(bits, tuple(names), tuple(bodies))
 
 
@@ -266,9 +270,8 @@ def _infer_bits(a: DistributedAutomaton) -> int:
     return bits
 
 
-def _accept_body(a: DistributedAutomaton, traces):
-    disjuncts = tuple(In(trace_var(t)) for t in traces
-                      if t[-1] in a.accepting)
+def _accept_body(a: DistributedAutomaton, traces, atoms):
+    disjuncts = tuple(atoms[t] for t in traces if t[-1] in a.accepting)
     return _or(disjuncts)
 
 
@@ -283,14 +286,13 @@ def _init_body(a: DistributedAutomaton, state: str, bits: int):
     return _or(tuple(disjuncts))
 
 
-def _transition_body(trace, enables: EnablesRelation):
+def _transition_body(trace, enables: EnablesRelation, atoms, seen):
     options = []
     for history in enables.enablers_of(trace):
-        seen_each = tuple(BDia(1, (In(trace_var(s)),)) for s in sorted(history))
-        only_those = BBox(1, (_or(tuple(In(trace_var(s))
-                                        for s in sorted(history))),))
-        options.append(_and(seen_each + (only_those,)))
-    return _and((In(trace_var(trace[:1])), _or(tuple(options))))
+        ordered = sorted(history)
+        only_those = BBox(1, (_or(tuple(atoms[s] for s in ordered)),))
+        options.append(_and(tuple(seen[s] for s in ordered) + (only_those,)))
+    return _and((atoms[trace[:1]], _or(tuple(options))))
 
 
 def _or(args: tuple):

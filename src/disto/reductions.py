@@ -253,10 +253,11 @@ def tm_to_da(m: TuringMachine) -> DistributedAutomaton:
     def name(c1, c2, c3) -> str:
         return f"({enc(c1)},{enc(c2)},{enc(c3)})"
 
-    states = tuple(name(a, b, c)
-                   for a in cellvals for b in cellvals for c in cellvals)
     by_name = {name(a, b, c): (a, b, c)
                for a in cellvals for b in cellvals for c in cellvals}
+    if len(by_name) != windows:
+        raise ValueError(f"state and tape names give {len(by_name)} distinct "
+                         f"names to {windows} windows")
 
     def is_headed(c) -> bool:
         return isinstance(c, tuple)
@@ -315,11 +316,10 @@ def tm_to_da(m: TuringMachine) -> DistributedAutomaton:
         nxt = ca_rule(*pred)
         return name(own[1], own[2], nxt)
 
-    accepting = frozenset(
-        name(a, b, c) for a in cellvals for b in cellvals for c in cellvals
-        if is_headed(c) and c[0] == m.halt)
+    accepting = frozenset(n for n, (_, _, c) in by_name.items()
+                          if is_headed(c) and c[0] == m.halt)
     return DistributedAutomaton(
-        states=states, rels=1, init={"": name(W, W, W)},
+        states=tuple(by_name), rels=1, init={"": name(W, W, W)},
         accepting=accepting, delta=delta)
 
 

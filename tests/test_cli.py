@@ -8,6 +8,8 @@ import os
 import pkgutil
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import typing
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import disto
-from disto import automata, graphs, zoo
+from disto import automata, cli, graphs, zoo
 from disto.cli import main, report_format
 from disto.formulas import _SYNTAX, print_formula, print_mu
 from disto.reductions import tm_json_dict
@@ -734,6 +736,8 @@ def _edited(name, path, value):
      "TypeError: 'int' object is not iterable"),
     (["tm2da", "@tm", "--accept", "@p1"], _edited("tm", ["delta"], 5),
      "TypeError: 'int' object is not iterable"),
+    (["tm2da", "@tm", "--accept", "@p1"], _edited("tm", ["tape", 1], "q0/_"),
+     "distinct names to"),
     (["fda2dfa", "@fda"], _edited("fda", ["delta"], []),
      "AttributeError: 'list' object has no attribute 'items'"),
     (["ta2fda", "@ta"], _edited("ta", ["delta", 0, 0], 5),
@@ -754,7 +758,8 @@ def _edited(name, path, value):
      _edited("alt", ["accepting_sets", 0], ["ghost"]),
      "name undeclared states"),
 ], ids=["states-5", "rules-[5]", "guards-x", "nodes-5", "label-5",
-        "alt-states-strings", "tiles-5", "tm-delta-5", "fda-delta-[]",
+        "alt-states-strings", "tiles-5", "tm-delta-5", "tm-window-names",
+        "fda-delta-[]",
         "ta-children-5", "mapping-empty-label-5", "mapping-5",
         "alt-target-list", "init-list", "init-undeclared",
         "accepting-undeclared"])
@@ -824,3 +829,111 @@ def test_every_annotation_resolves():
                     typing.get_type_hints(f)
                     checked += 1
     assert checked > 500
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+def test_the_parser_is_built_once_and_not_at_import():
+    assert cli.build_parser() is cli.build_parser()
+    probe = ("import disto.cli as c; "
+             "print(c.build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                             os.path.dirname(disto.__file__))))
+    assert out.stdout.strip() == "0"
+
+
+def test_defaults_do_not_leak_between_calls(capsys, fig_automaton_file,
+                                            tmp_path):
+    lonely = tmp_path / "lone.json"
+    lonely.write_text(json.dumps(graphs.to_json_dict(
+        graphs.make(1, 1, ["0"], [], point=0))))
+    assert run_cli(capsys, "--strict", "accept", fig_automaton_file,
+                   str(lonely))[0] == 2
+    assert run_cli(capsys, "accept", fig_automaton_file,
+                   str(lonely)) == (0, {"schema": "disto/1",
+                                        "verdict": "rejected",
+                                        "details": {"point": 0}})
+
+    sentence = tmp_path / "s.sexp"
+    sentence.write_text("(exists x (in P1 x))")
+    code, out = run_cli(capsys, "compile-mso", str(sentence), "--bits", "1")
+    assert code == 0 and out["verdict"] == "compiled"
+    code, out = run_cli(capsys, "compile-mso", str(sentence))
+    assert code == 1 and out["details"]["message"].endswith("free: ['P1']")
+
+    # pigeonhole bound 2: the capped search stops at --max-nodes 1
+    nldag = tmp_path / "n.json"
+    nldag.write_text(json.dumps({
+        "states": [{"name": "p", "kind": "P"}, {"name": "q", "kind": "P"}],
+        "relations": 1, "init": {"": "p"},
+        "rules": [{"from": q, "guards": [], "to": [q]} for q in "pq"],
+        "accepting_sets": [["q"]]}))
+    code, out = run_cli(capsys, "empty-nldag", str(nldag), "--max-nodes", "1",
+                        "--mode", "pigeonhole")
+    assert out["verdict"] == "empty"
+    code, out = run_cli(capsys, "empty-nldag", str(nldag), "--max-nodes", "1")
+    assert out["verdict"] == "empty-up-to-cap"
+
+    written = tmp_path / "path.json"
+    first = run_cli(capsys, "gen", "dipath", "--n", "2", "--out", str(written))
+    written.unlink()
+    assert run_cli(capsys, "gen", "dipath", "--n", "2") == first
+    assert not written.exists()
+
+
+def test_a_usage_error_leaves_the_next_report_unchanged(
+        capsys, fig_automaton_file, edge_graph_file):
+    argv = ["falsify-async", fig_automaton_file, edge_graph_file,
+            "--samples", "3"]
+    before = run_cli(capsys, *argv, "--seed", "1")
+    for bad in (["no-such-verb"], argv):
+        with pytest.raises(SystemExit) as e:
+            main(bad)
+        assert e.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *argv, "--seed", "1") == before
+
+
+def _pool_invocations(tmp_path) -> list[list[str]]:
+    """The benchmark pool's first entry of every verb, its files written
+    under ``tmp_path``."""
+    pool_path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                             "verbs_pool.json")
+    with open(pool_path) as fh:
+        pool = json.load(fh)
+    invocations = []
+    for verb, entries in sorted(pool.items()):
+        entry = entries[0]
+        at = tmp_path / verb
+        at.mkdir()
+        paths = {}
+        for name, content in entry["files"].items():
+            paths[name] = at / name
+            paths[name].write_text(content if isinstance(content, str)
+                                   else json.dumps(content))
+        paths.update((name, at / name) for name in entry.get("outputs", ()))
+        invocations.append([str(paths[a[1:-1]]) if a.startswith("{") else a
+                            for a in entry["argv"]])
+    return invocations
+
+
+def test_cached_and_fresh_parsers_give_identical_reports(
+        capsys, tmp_path, monkeypatch):
+    invocations = _pool_invocations(tmp_path)
+    assert len(invocations) == 16
+
+    def reports():
+        out = []
+        for argv in invocations:
+            code = main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    cached = reports()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = reports()
+    assert cached == fresh
+    assert all(code == 0 for code, _ in cached)

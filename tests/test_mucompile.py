@@ -7,7 +7,8 @@ from disto import formulas as fm
 from disto.automata import DistributedAutomaton, classify, sync_run
 from disto.formulas import MuEvaluator, MuSystem, eval_mu
 from disto.graphs import enumerate_digraphs
-from disto.mucompile import (ClassError, compile_mu_to_aqda, compute_enables,
+from disto.mucompile import (ClassError, _and, _infer_bits, _init_body, _or,
+                             compile_mu_to_aqda, compute_enables,
                              compute_traces, decompile_qda_to_mu,
                              successor_map, trace_var)
 
@@ -185,3 +186,48 @@ def test_decompile_builds_one_state_diagram(monkeypatch):
     monkeypatch.setattr(mucompile, "state_diagram", counting)
     decompile_qda_to_mu(zoo.reachability_automaton())
     assert len(calls) == 1
+
+
+def reference_decompile(a):
+    """Decompilation with a fresh atom for every use: the reference for the
+    shared-atom bodies."""
+    enables = compute_enables(a, restrict_to_initial=True)
+    traces = sorted(enables.traces, key=lambda t: (len(t), t))
+    bits = _infer_bits(a)
+
+    def transition_body(trace):
+        options = []
+        for history in enables.enablers_of(trace):
+            seen_each = tuple(fm.BDia(1, (fm.In(trace_var(s)),))
+                              for s in sorted(history))
+            only_those = fm.BBox(1, (_or(tuple(fm.In(trace_var(s))
+                                               for s in sorted(history))),))
+            options.append(_and(seen_each + (only_those,)))
+        return _and((fm.In(trace_var(trace[:1])), _or(tuple(options))))
+
+    bodies = [_or(tuple(fm.In(trace_var(t)) for t in traces
+                        if t[-1] in a.accepting))]
+    bodies += [_init_body(a, t[0], bits) if len(t) == 1
+               else transition_body(t) for t in traces]
+    return MuSystem(bits, ("X1", *(trace_var(t) for t in traces)),
+                    tuple(bodies))
+
+
+def test_decompile_matches_the_reference(mu_corpus):
+    automata_ = [zoo.reachability_automaton()]
+    automata_ += [compile_mu_to_aqda(sys_) for sys_ in mu_corpus[:5]]
+    for a in automata_:
+        got, want = decompile_qda_to_mu(a), reference_decompile(a)
+        assert got == want
+        assert fm.print_mu(got) == fm.print_mu(want)
+
+
+def test_decompile_shares_each_trace_atom():
+    a = zoo.reachability_automaton()
+    sys_ = decompile_qda_to_mu(a)
+    longer = sorted(t for t in compute_enables(a, restrict_to_initial=True)
+                    .traces if len(t) > 1)
+    t1, t2 = next((s, t) for s, t in zip(longer, longer[1:]) if s[0] == t[0])
+    start1 = sys_.body_of(trace_var(t1)).args[0]
+    start2 = sys_.body_of(trace_var(t2)).args[0]
+    assert start1 == fm.In(trace_var(t1[:1])) and start1 is start2

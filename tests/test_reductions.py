@@ -282,6 +282,44 @@ def test_tm_to_da_refuses_more_windows_than_its_cap():
                for z in zoo.sample_turing_machines())
 
 
+def counter_tm(k: int) -> TuringMachine:
+    """Writes x and moves right k times, halting at step k (the shape of
+    the benchmark's ``tm2da`` machines)."""
+    states = tuple(f"q{i}" for i in range(k)) + ("h",)
+    return TuringMachine(states=states, tape=("_", "x"), initial="q0",
+                         blank="_", halt="h",
+                         delta={(states[i], s): (states[i + 1], "x", "R")
+                                for i in range(k) for s in ("_", "x")})
+
+
+@pytest.mark.parametrize("m", [*zoo.sample_turing_machines()[::2],
+                               counter_tm(3), counter_tm(6)])
+def test_tm_to_da_names_each_window_in_product_order(m):
+    cellvals = (["."] + [f"{q}/{s}" for q in m.states for s in m.tape]
+                + list(m.tape))
+    a = tm_to_da(m)
+    assert a.states == tuple(f"({x},{y},{z})" for x in cellvals
+                             for y in cellvals for z in cellvals)
+    assert a.accepting == {f"({x},{y},{m.halt}/{s})" for x in cellvals
+                           for y in cellvals for s in m.tape}
+
+
+@pytest.mark.parametrize("tape", [("_", "q1/_"), ("_", "a", "a,a"),
+                                  ("_", "_")])
+def test_tm_to_da_refuses_colliding_window_names(tape):
+    # a symbol spelled like a headed cell ("q1/_") or holding the window
+    # separator names two windows alike, and the automaton's transitions
+    # would mistake one for the other
+    states = ("q0", "q1", "h")
+    m = TuringMachine(states=states, tape=tape, initial="q0", blank="_",
+                      delta={(q, s): (states[i + 1], tape[-1], "R")
+                             for i, q in enumerate(states[:-1])
+                             for s in tape}, halt="h")
+    assert m.halting_time(5) == 2
+    with pytest.raises(ValueError, match="distinct names to"):
+        tm_to_da(m)
+
+
 def test_json_roundtrips():
     m = zoo.sample_turing_machines()[2]
     assert tm_from_json_dict(tm_json_dict(m)) == m
