@@ -21,13 +21,12 @@ from typing import Callable, Iterable
 
 from . import formulas as fm
 from .automata import (NVec, RuleDelta, UnmatchedTransition, _Interned,
-                       _init, _names, _positive, _rule_from_json, _rule_json,
-                       all_nvecs)
+                       _infer_bits, _init, _names, _positive, _rule_from_json,
+                       _rule_json, all_pairs)
 from .graphs import (Digraph, OracleBoundError, _bitstrings,
                      enumerate_digraphs)
 
 GAME_SUCCESSOR_CAP = 200_000
-ENUM_LIMIT = 16  # max |Q| * rels for exhaustive validation
 
 
 class AltError(ValueError):
@@ -108,29 +107,15 @@ class AltAutomaton:
             self._memo[key] = out
         return out
 
-    def bits(self) -> int:
-        widths = {len(lab) for lab in self.init}
-        if len(widths) != 1:
-            raise AltError("initialization labels of mixed width")
-        return widths.pop()
-
-
     def successors_superset(self) -> dict:
         """state -> every state its transitions can reach.  Without a map
-        supplied, the first call enumerates every neighbourhood and
-        attaches the result as ``succ_map``."""
+        supplied, the first call steps every (state, neighbourhood) pair
+        and attaches the result as ``succ_map``."""
         if self.succ_map is None:
-            if len(self.states) * self.rels > ENUM_LIMIT:
-                raise AltError("state space too large to enumerate "
-                               "transitions; no successor map attached")
-            nvecs = list(all_nvecs(self.states, self.rels))
-            succ = {}
-            for q in self.states:
-                targets = set()
-                for nvec in nvecs:
-                    targets |= self.step(q, nvec)
-                succ[q] = frozenset(targets)
-            self.succ_map = succ
+            succ = {q: set() for q in self.states}
+            for q, nvec in all_pairs(self):
+                succ[q] |= self.step(q, nvec)
+            self.succ_map = {q: frozenset(t) for q, t in succ.items()}
         return self.succ_map
 
 
@@ -218,12 +203,8 @@ def is_nondeterministic(a: AltAutomaton) -> bool:
 
 def is_deterministic(a: AltAutomaton) -> bool:
     """Syntactic check: every transition value is a singleton."""
-    if not is_nondeterministic(a):
-        return False
-    if len(a.states) * a.rels > ENUM_LIMIT:
-        raise AltError("state space too large for the determinism check")
-    return all(len(a.step(q, nvec)) == 1
-               for q in a.states for nvec in all_nvecs(a.states, a.rels))
+    return is_nondeterministic(a) and all(len(a.step(q, nvec)) == 1
+                                          for q, nvec in all_pairs(a))
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +907,7 @@ def nldag_emptiness(a: AltAutomaton, mode: str = "capped",
     if limit > 7:
         raise AltError(f"search bound {limit} is beyond desk scale; "
                        f"use capped mode")
-    bits, searched = a.bits(), 0
+    bits, searched = _infer_bits(a), 0
     try:
         for d in enumerate_digraphs(limit, bits=bits, rels=a.rels,
                                     iso_reduce=True, safety_bound=limit):

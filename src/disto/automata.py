@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Digraph, PointedDigraph, _cached, subsets
 
 DEFAULT_HORIZON_CAP = 10 ** 6
-CLASSIFY_LIMIT = 18  # max |Q| * rels for exhaustive delta enumeration
+ENUM_LIMIT = 16  # max |Q| * rels for exhaustive (state, neighbourhood) steps
 
 
 class InitializationError(ValueError):
@@ -128,13 +128,33 @@ class DistributedAutomaton:
         except KeyError:
             raise InitializationError(f"no initial state for label {label!r}")
 
-    def enumeration_feasible(self) -> bool:
-        return len(self.states) * self.rels <= CLASSIFY_LIMIT
-
 
 def all_nvecs(states: Iterable[str], rels: int) -> Iterable[NVec]:
     """Every neighbourhood over ``states``: one subset per relation."""
     return itertools.product(subsets(states), repeat=rels)
+
+
+def all_pairs(a) -> Iterator[tuple[object, NVec]]:
+    """Every (state, neighbourhood) pair of a distributed or alternating
+    automaton: states in declared order, each with every neighbourhood in
+    ``all_nvecs`` order.  Refuses ``|Q| * rels > ENUM_LIMIT`` before any
+    step."""
+    if len(a.states) * a.rels > ENUM_LIMIT:
+        raise ClassificationInfeasible(
+            f"{len(a.states)} states x {a.rels} relations exceeds the "
+            f"exhaustive enumeration limit")
+    # product materialises the neighbourhoods once, not once per state
+    return itertools.product(a.states, all_nvecs(a.states, a.rels))
+
+
+def _infer_bits(a) -> int:
+    """The one width of the labels ``a.init`` names."""
+    widths = {len(label) for label in a.init}
+    if not widths:
+        raise ValueError("automaton has no initialization entries")
+    if len(widths) > 1:
+        raise ValueError("initialization labels of mixed width")
+    return widths.pop()
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,29 +349,19 @@ def validate_total(a: DistributedAutomaton) -> tuple | None:
                    if all(g.op == "any" for g in r.guards)}
         if covered >= set(a.states):
             return None
-    if not a.enumeration_feasible():
-        raise ClassificationInfeasible(
-            "no catch-all rules and the state space is too large for an "
-            "exhaustive totality check")
-    for q in a.states:
-        for nvec in all_nvecs(a.states, a.rels):
-            try:
-                a.step(q, nvec)
-            except UnmatchedTransition:
-                return (q, nvec)
+    for q, nvec in all_pairs(a):
+        try:
+            a.step(q, nvec)
+        except UnmatchedTransition:
+            return (q, nvec)
     return None
 
 
 def state_diagram(a: DistributedAutomaton) -> dict[str, set[str]]:
     """Successor map q -> {delta(q, nvec) : nvec}, by exhaustive enumeration."""
-    if not a.enumeration_feasible():
-        raise ClassificationInfeasible(
-            f"{len(a.states)} states x {a.rels} relations exceeds the "
-            f"exhaustive enumeration limit")
     succ: dict[str, set[str]] = {q: set() for q in a.states}
-    for q in a.states:
-        for nvec in all_nvecs(a.states, a.rels):
-            succ[q].add(a.step(q, nvec))
+    for q, nvec in all_pairs(a):
+        succ[q].add(a.step(q, nvec))
     return succ
 
 
@@ -383,21 +393,11 @@ def classify(a: DistributedAutomaton) -> AutomatonClass:
 
 
 def _check_monovisioned(a: DistributedAutomaton) -> bool:
-    if a.rels != 1 or not a.enumeration_feasible():
+    if a.rels != 1:
         return False
-    for sink in set(a.states) - set(a.accepting):
-        ok = True
-        for q in a.states:
-            for nvec in all_nvecs(a.states, a.rels):
-                must = len(nvec[0]) > 1 or sink in nvec[0] or q == sink
-                if must and a.step(q, nvec) != sink:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return any(all(a.step(q, nvec) == sink for q, nvec in all_pairs(a)
+                   if len(nvec[0]) > 1 or sink in nvec[0] or q == sink)
+               for sink in set(a.states) - set(a.accepting))
 
 
 def monovisioned_transform(a: DistributedAutomaton,

@@ -14,10 +14,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .automata import DistributedAutomaton, _has_nontrivial_cycle, state_diagram
+from .automata import (DistributedAutomaton, _has_nontrivial_cycle,
+                       _infer_bits, state_diagram)
 from .formulas import (And, BBox, BDia, Bot, In, MuSystem, Not, Or, Top,
                        _pair_holds, flatten_mu)
-from .graphs import _bitstrings, subsets
+from .graphs import _bitstrings, _cached, subsets
 
 MAX_COMPILE_PROPS = 10
 
@@ -117,8 +118,16 @@ class EnablesRelation:
     traces: Traces
 
     def enablers_of(self, trace: tuple[str, ...]) -> tuple:
-        return tuple(sorted((h for (h, t) in self.pairs if t == trace),
-                            key=lambda h: (len(h), sorted(h))))
+        return self._enablers.get(trace, ())
+
+    @_cached
+    def _enablers(self) -> dict:
+        """trace -> its enabling histories, by size, then sorted members."""
+        by_trace: dict = {}
+        for h, t in self.pairs:
+            by_trace.setdefault(t, []).append(h)
+        return {t: tuple(sorted(hs, key=lambda h: (len(h), sorted(h))))
+                for t, hs in by_trace.items()}
 
     def holds(self, history: frozenset, trace: tuple[str, ...]) -> bool:
         return (history, trace) in self.pairs
@@ -256,18 +265,6 @@ def decompile_qda_to_mu(a: DistributedAutomaton) -> MuSystem:
         else:
             bodies.append(_transition_body(trace, enables, atoms, seen))
     return MuSystem(bits, tuple(names), tuple(bodies))
-
-
-def _infer_bits(a: DistributedAutomaton) -> int:
-    bits = None
-    for label in a.init:
-        if bits is None:
-            bits = len(label)
-        elif len(label) != bits:
-            raise ValueError("initialization labels of mixed width")
-    if bits is None:
-        raise ValueError("automaton has no initialization entries")
-    return bits
 
 
 def _accept_body(a: DistributedAutomaton, traces, atoms):

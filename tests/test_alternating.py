@@ -628,8 +628,8 @@ def test_validate_alt_checks_every_neighbourhood_of_a_permanent_state():
 
 def test_levels_are_derived_once_per_automaton(monkeypatch):
     calls = []
-    enumerate_all = alt.all_nvecs
-    monkeypatch.setattr(alt, "all_nvecs",
+    enumerate_all = alt.all_pairs
+    monkeypatch.setattr(alt, "all_pairs",
                         lambda *args: calls.append(args) or
                         enumerate_all(*args))
     a = rule_automaton(

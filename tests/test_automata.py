@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -7,13 +8,16 @@ import pytest
 
 from disto import alternating as alt
 from disto import automata, zoo
-from disto.automata import (AutomatonClass, DistributedAutomaton,
-                            ForgetfulAutomaton, Guard, HorizonExceeded,
-                            InitializationError, Rule, RuleDelta,
-                            UnmatchedTransition, all_nvecs, classify,
-                            decide_acceptance_sync, forgetful_run,
-                            monovisioned_transform, state_diagram, sync_run)
+from disto.automata import (AutomatonClass, ClassificationInfeasible,
+                            DistributedAutomaton, ForgetfulAutomaton, Guard,
+                            HorizonExceeded, InitializationError, Rule,
+                            RuleDelta, UnmatchedTransition, all_nvecs,
+                            all_pairs, classify, decide_acceptance_sync,
+                            forgetful_run, monovisioned_transform,
+                            state_diagram, sync_run)
 from disto.graphs import Digraph, dipath, make
+from disto.mucompile import (compile_mu_to_aqda, decompile_qda_to_mu,
+                             successor_map)
 
 import gens
 
@@ -351,6 +355,177 @@ def test_state_diagram_and_accepted_nodes():
     assert "3" in diagram["1"] and "5" in diagram["3"]
     d = make(1, 1, ["1", "0"], [(1, 0, 1)])
     assert automata.accepted_nodes(a, d) == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# The one (state, neighbourhood) enumerator against the five loops it
+# replaced, kept here as they stood (less their cap checks, which have
+# their own tests below).
+
+def reference_validate_total(a):
+    delta = a.delta
+    if isinstance(delta, RuleDelta):
+        covered = {r.src for r in delta.rules
+                   if all(g.op == "any" for g in r.guards)}
+        if covered >= set(a.states):
+            return None
+    for q in a.states:
+        for nvec in all_nvecs(a.states, a.rels):
+            try:
+                a.step(q, nvec)
+            except UnmatchedTransition:
+                return (q, nvec)
+    return None
+
+
+def reference_state_diagram(a):
+    succ = {q: set() for q in a.states}
+    for q in a.states:
+        for nvec in all_nvecs(a.states, a.rels):
+            succ[q].add(a.step(q, nvec))
+    return succ
+
+
+def reference_check_monovisioned(a):
+    if a.rels != 1:
+        return False
+    for sink in set(a.states) - set(a.accepting):
+        ok = True
+        for q in a.states:
+            for nvec in all_nvecs(a.states, a.rels):
+                must = len(nvec[0]) > 1 or sink in nvec[0] or q == sink
+                if must and a.step(q, nvec) != sink:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+def reference_classify(a):
+    succ = reference_state_diagram(a)
+    quasi = not automata._has_nontrivial_cycle(succ)
+    local = quasi and not any(q in succ[q] and succ[q] != {q}
+                              for q in a.states)
+    mono = a.known_monovisioned or reference_check_monovisioned(a)
+    return AutomatonClass(is_local=local, is_quasi_acyclic=quasi,
+                          is_monovisioned=mono)
+
+
+def reference_successors_superset(a):
+    nvecs = list(all_nvecs(a.states, a.rels))
+    succ = {}
+    for q in a.states:
+        targets = set()
+        for nvec in nvecs:
+            targets |= a.step(q, nvec)
+        succ[q] = frozenset(targets)
+    return succ
+
+
+def reference_is_deterministic(a):
+    if not alt.is_nondeterministic(a):
+        return False
+    return all(len(a.step(q, nvec)) == 1
+               for q in a.states for nvec in all_nvecs(a.states, a.rels))
+
+
+def _outcome(f, a):
+    """``f(a)``'s value, or the type and message of what it raised."""
+    try:
+        return f(a)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def _distributed_corpus(mu_corpus):
+    rng = random.Random("all-pairs-distributed")
+    out = [automata.from_json_dict(_random_rule_file(rng, "distributed"))
+           for _ in range(40)]
+    out += [zoo.reachability_automaton(), zoo.synchrony_detector()]
+    out += [compile_mu_to_aqda(s) for s in mu_corpus]
+    # monovisioned by construction, for the check to find
+    return out + [dataclasses.replace(monovisioned_transform(a), _memo={},
+                                      known_monovisioned=False)
+                  for a in out[-6:]]
+
+
+def _alternating_corpus():
+    """Rule-file draws, ``random_nldag`` draws and the zoo, each without
+    a supplied successor map, so that the enumerator builds it."""
+    rng = random.Random("all-pairs-alternating")
+    out = [alt.from_json_dict(_random_rule_file(rng, "alternating"))
+           for _ in range(40)]
+    out += [gens.random_nldag(rng) for _ in range(20)]
+    out += [zoo.three_col_aldag(), zoo.non_three_col_aldag(),
+            zoo.concentric_circles_aldag()]
+    return [dataclasses.replace(a, succ_map=None, _memo={}) for a in out]
+
+
+def test_distributed_enumeration_matches_the_reference_loops(mu_corpus):
+    for a in _distributed_corpus(mu_corpus):
+        assert (automata.validate_total(a)
+                == reference_validate_total(a))
+        assert (_outcome(state_diagram, a)
+                == _outcome(reference_state_diagram, a))
+        assert _outcome(classify, a) == _outcome(reference_classify, a)
+
+
+def test_alternating_enumeration_matches_the_reference_loops():
+    for a in _alternating_corpus():
+        want = _outcome(reference_successors_superset, a)
+        assert _outcome(alt.AltAutomaton.successors_superset, a) == want
+        assert a.succ_map == (want if isinstance(want, dict) else None)
+        assert (_outcome(alt.is_deterministic, a)
+                == _outcome(reference_is_deterministic, a))
+
+
+def test_all_pairs_lists_states_in_order_then_neighbourhoods():
+    a = automata.from_json_dict(_random_rule_file(random.Random(3),
+                                                  "distributed"))
+    for x in (a, zoo.synchrony_detector(), zoo.three_col_aldag()):
+        assert list(all_pairs(x)) == [(q, nvec) for q in x.states
+                                      for nvec in all_nvecs(x.states, x.rels)]
+
+
+def _never_stepped(q, nvec):
+    pytest.fail(f"stepped {q!r} on {nvec} past the enumeration cap")
+
+
+@pytest.mark.parametrize("n,rels", [(17, 1), (9, 2)])
+def test_over_the_cap_both_kinds_are_refused_before_any_step(n, rels):
+    states = tuple(f"q{i}" for i in range(n))
+    message = (f"{n} states x {rels} relations exceeds the exhaustive "
+               f"enumeration limit")
+    d = DistributedAutomaton(states=states, rels=rels, init={"": "q0"},
+                             accepting=frozenset(), delta=_never_stepped)
+    # decompilation refuses two relations before it enumerates
+    decompile = (decompile_qda_to_mu,) if rels == 1 else ()
+    for f in (all_pairs, automata.validate_total, state_diagram, classify,
+              successor_map, *decompile):
+        with pytest.raises(ClassificationInfeasible) as caught:
+            f(d)
+        assert str(caught.value) == message
+    a = alt.AltAutomaton(states=states, kind={**dict.fromkeys(states, "E"),
+                                              states[-1]: "P"},
+                         rels=rels, init={"": "q0"}, delta=_never_stepped,
+                         accepting=alt.explicit())
+    for f in (all_pairs, alt.AltAutomaton.successors_superset,
+              alt.validate_alt, alt.is_deterministic):
+        with pytest.raises(ClassificationInfeasible) as caught:
+            f(a)
+        assert str(caught.value) == message
+    assert a.succ_map is None
+
+
+@pytest.mark.parametrize("n,rels", [(16, 1), (8, 2)])
+def test_at_the_cap_the_enumeration_starts(n, rels):
+    states = tuple(f"q{i}" for i in range(n))
+    d = DistributedAutomaton(states=states, rels=rels, init={"": "q0"},
+                             accepting=frozenset(), delta=_never_stepped)
+    assert next(iter(all_pairs(d))) == ("q0", (frozenset(),) * rels)
 
 
 # ---------------------------------------------------------------------------

@@ -757,17 +757,37 @@ def _edited(name, path, value):
     (["alt-accept", "@alt", "@g0"],
      _edited("alt", ["accepting_sets", 0], ["ghost"]),
      "name undeclared states"),
+    (["empty-nldag", "@alt", "--max-nodes", "2"], _edited("alt", ["init"], {}),
+     "ValueError: automaton has no initialization entries"),
 ], ids=["states-5", "rules-[5]", "guards-x", "nodes-5", "label-5",
         "alt-states-strings", "tiles-5", "tm-delta-5", "tm-window-names",
         "fda-delta-[]",
         "ta-children-5", "mapping-empty-label-5", "mapping-5",
         "alt-target-list", "init-list", "init-undeclared",
-        "accepting-undeclared"])
+        "accepting-undeclared", "alt-init-empty"])
 def test_malformed_files_get_one_input_error(capsys, tmp_path, argv, files,
                                              message):
     code, out = run_cli(capsys, *_write_files(str(tmp_path), files, argv))
     assert code == 1 and out["verdict"] == "input-error"
     assert message in out["details"]["message"]
+
+
+def test_an_alternating_automaton_over_the_enumeration_cap_is_a_limit(
+        capsys, tmp_path):
+    states = [f"q{i}" for i in range(17)]
+    obj = {"states": [{"name": q, "kind": "E"} for q in states[:-1]]
+           + [{"name": states[-1], "kind": "P"}],
+           "relations": 1, "init": {"": "q0"},
+           "rules": [{"from": q, "guards": [], "to": [states[-1]]}
+                     for q in states],
+           "accepting_sets": [[states[-1]]]}
+    files = {"big": obj, "g0": _verb_files()["g0"]}
+    code, out = run_cli(capsys, *_write_files(str(tmp_path), files,
+                                              ["alt-accept", "@big", "@g0"]))
+    assert code == 1 and out["verdict"] == "limit-exceeded"
+    assert out["details"]["message"] == (
+        "ClassificationInfeasible: 17 states x 1 relations exceeds the "
+        "exhaustive enumeration limit")
 
 
 def test_a_directory_as_the_path_is_an_input_error(capsys, tmp_path,

@@ -222,6 +222,17 @@ def test_decompile_matches_the_reference(mu_corpus):
         assert fm.print_mu(got) == fm.print_mu(want)
 
 
+def test_enablers_index_matches_a_plain_scan(mu_corpus):
+    automata_ = [zoo.reachability_automaton()]
+    automata_ += [compile_mu_to_aqda(sys_) for sys_ in mu_corpus[:10]]
+    for a in automata_:
+        enables = compute_enables(a, restrict_to_initial=True)
+        for trace in sorted(enables.traces) + [("nowhere",)]:
+            scan = tuple(sorted((h for (h, t) in enables.pairs if t == trace),
+                                key=lambda h: (len(h), sorted(h))))
+            assert enables.enablers_of(trace) == scan
+
+
 def test_decompile_shares_each_trace_atom():
     a = zoo.reachability_automaton()
     sys_ = decompile_qda_to_mu(a)
