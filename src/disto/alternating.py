@@ -23,8 +23,8 @@ from . import formulas as fm
 from .automata import (NVec, RuleDelta, UnmatchedTransition, _Interned,
                        _infer_bits, _init, _names, _positive, _rule_from_json,
                        _rule_json, all_pairs)
-from .graphs import (Digraph, OracleBoundError, _bitstrings,
-                     enumerate_digraphs)
+from .graphs import (ENUM_SAFETY_BOUND, Digraph, LimitExceeded,
+                     OracleBoundError, _bitstrings, enumerate_digraphs)
 
 GAME_SUCCESSOR_CAP = 200_000
 
@@ -240,8 +240,8 @@ def global_successors(a: AltAutomaton, conf: tuple, d: Digraph) -> list[tuple]:
     for opts in options:
         count *= len(opts)
         if count > GAME_SUCCESSOR_CAP:
-            raise AltError("configuration has too many successors "
-                           f"(cap {GAME_SUCCESSOR_CAP})")
+            raise LimitExceeded("configuration has too many successors "
+                                f"(cap {GAME_SUCCESSOR_CAP})")
     return [tuple(choice) for choice in itertools.product(*options)]
 
 
@@ -311,8 +311,9 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
             for o in opts:
                 count *= len(o)
                 if count > GAME_SUCCESSOR_CAP:
-                    raise AltError("configuration has too many successors "
-                                   f"(cap {GAME_SUCCESSOR_CAP})")
+                    raise LimitExceeded(
+                        "configuration has too many successors "
+                        f"(cap {GAME_SUCCESSOR_CAP})")
             if count == 1:
                 # deterministic round: pass through without branching
                 conf = tuple(o[0] for o in opts)
@@ -889,9 +890,10 @@ def nldag_emptiness(a: AltAutomaton, mode: str = "capped",
 
     By the pigeonhole argument, a nonempty language contains a digraph with
     at most |Q|^(length+1) nodes.  The search enumerates digraphs up to
-    isomorphism; ``exact`` reports whether the bound was fully covered.
-    When the enumerator refuses a node count (``OracleBoundError``), the
-    answer is empty up to the largest node count searched in full.
+    isomorphism, up to ``ENUM_SAFETY_BOUND`` nodes at most; ``exact``
+    reports whether the bound was fully covered.  When the enumerator
+    refuses a node count (``OracleBoundError``), the answer is empty up to
+    the largest node count searched in full.
     """
     if not is_nondeterministic(a):
         raise AltError("emptiness search needs a nondeterministic automaton")
@@ -904,13 +906,10 @@ def nldag_emptiness(a: AltAutomaton, mode: str = "capped",
         raise AltError(f"unknown emptiness mode {mode!r}")
     if isinstance(a.accepting, ExplicitSets) and not a.accepting.sets:
         return EmptinessResult(True, True, None, 0, bound)
-    if limit > 7:
-        raise AltError(f"search bound {limit} is beyond desk scale; "
-                       f"use capped mode")
-    bits, searched = _infer_bits(a), 0
+    nodes, bits, searched = min(limit, ENUM_SAFETY_BOUND), _infer_bits(a), 0
     try:
-        for d in enumerate_digraphs(limit, bits=bits, rels=a.rels,
-                                    iso_reduce=True, safety_bound=limit):
+        for d in enumerate_digraphs(nodes, bits=bits, rels=a.rels,
+                                    iso_reduce=True):
             if decide_acceptance_alt(a, d):
                 return EmptinessResult(False, True, d, limit, bound)
             searched = d.n  # node counts come in increasing order
@@ -918,7 +917,7 @@ def nldag_emptiness(a: AltAutomaton, mode: str = "capped",
         # the enumerator refused the next node count: the smaller ones
         # were searched in full, so the answer is empty up to those
         return EmptinessResult(True, False, None, searched, bound)
-    return EmptinessResult(True, limit >= bound, None, limit, bound)
+    return EmptinessResult(True, nodes >= bound, None, nodes, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Digraph, PointedDigraph, _cached, subsets
+from .graphs import Digraph, LimitExceeded, PointedDigraph, _cached, subsets
 
 DEFAULT_HORIZON_CAP = 10 ** 6
 ENUM_LIMIT = 16  # max |Q| * rels for exhaustive (state, neighbourhood) steps
@@ -25,7 +25,7 @@ class InitializationError(ValueError):
     pass
 
 
-class HorizonExceeded(Exception):
+class HorizonExceeded(LimitExceeded):
     pass
 
 
@@ -33,7 +33,7 @@ class UnmatchedTransition(ValueError):
     pass
 
 
-class ClassificationInfeasible(Exception):
+class ClassificationInfeasible(LimitExceeded):
     pass
 
 
@@ -134,15 +134,21 @@ def all_nvecs(states: Iterable[str], rels: int) -> Iterable[NVec]:
     return itertools.product(subsets(states), repeat=rels)
 
 
+def check_enum_limit(states: int, rels: int) -> None:
+    """Refuse to enumerate every neighbourhood over ``states`` states on
+    ``rels`` relations when ``states * rels > ENUM_LIMIT``."""
+    if states * rels > ENUM_LIMIT:
+        raise ClassificationInfeasible(
+            f"{states} states x {rels} relations exceeds the "
+            f"exhaustive enumeration limit")
+
+
 def all_pairs(a) -> Iterator[tuple[object, NVec]]:
     """Every (state, neighbourhood) pair of a distributed or alternating
     automaton: states in declared order, each with every neighbourhood in
     ``all_nvecs`` order.  Refuses ``|Q| * rels > ENUM_LIMIT`` before any
     step."""
-    if len(a.states) * a.rels > ENUM_LIMIT:
-        raise ClassificationInfeasible(
-            f"{len(a.states)} states x {a.rels} relations exceeds the "
-            f"exhaustive enumeration limit")
+    check_enum_limit(len(a.states), a.rels)
     # product materialises the neighbourhoods once, not once per state
     return itertools.product(a.states, all_nvecs(a.states, a.rels))
 

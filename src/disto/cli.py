@@ -18,6 +18,7 @@ from . import asyncrun, automata, decision, formulas, graphs
 from . import mucompile, reductions, tiling
 
 SCHEMA = "disto/1"
+GEN_SIZE_LIMIT = 10 ** 5  # max nodes * (bits + 1) that gen builds
 
 _REJECTING_VERDICTS = {"rejected", "empty", "empty-up-to-cap",
                        "counterexample", "none-up-to-bound", "not-a-grid",
@@ -268,6 +269,13 @@ def cmd_grid_check(args):
 
 
 def cmd_gen(args):
+    # negative sizes pass on to the generators and checks that refuse them
+    nodes = (max(args.n, 0) if args.kind == "dipath"
+             else max(args.height, 0) * max(args.width, 0))
+    if nodes * (max(args.bits, 0) + 1) > GEN_SIZE_LIMIT:
+        raise graphs.LimitExceeded(
+            f"{nodes} nodes x {args.bits + 1} (bits + 1) exceeds the gen "
+            f"size limit {GEN_SIZE_LIMIT}")
     if args.kind == "dipath":
         g = graphs.dipath(args.n, bits=args.bits)
     else:
@@ -358,7 +366,7 @@ def main(argv=None) -> int:
     except InputError as e:
         print(report_format("input-error", {"message": str(e)}))
         return 1
-    except (automata.HorizonExceeded, automata.ClassificationInfeasible) as e:
+    except graphs.LimitExceeded as e:
         print(report_format("limit-exceeded",
                             {"message": f"{type(e).__name__}: {e}"}))
         return 1

@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import (DistributedAutomaton, ForgetfulAutomaton, all_nvecs,
-                       decide_acceptance_forgetful, decide_acceptance_sync,
-                       forgetful_run)
-from .graphs import (OracleBoundError, PointedDigraph,
-                     enumerate_rooted_ditrees, make)
-
-DITREE_SAFETY_CAP = 6
+                       check_enum_limit, decide_acceptance_forgetful,
+                       decide_acceptance_sync, forgetful_run)
+from .graphs import PointedDigraph, enumerate_rooted_ditrees, make
 
 
 class WitnessError(ValueError):
@@ -41,7 +38,9 @@ class ReachableStateSets:
 
 def _step_sets(a: ForgetfulAutomaton, current: frozenset):
     """delta-hat: all states producible from subsets of the current set,
-    plus one generating (letter, neighborhood) pair per new state."""
+    plus one generating (letter, neighborhood) pair per new state.
+    Refuses ``|current| * rels > ENUM_LIMIT`` before any step."""
+    check_enum_limit(len(current), a.rels)
     out: dict[str, tuple] = {}
     nvecs = list(all_nvecs(sorted(current), a.rels))
     for letter in a.letters:
@@ -138,14 +137,10 @@ def forgetful_witness(a: ForgetfulAutomaton, t: int, q: str) -> PointedDigraph:
 
 
 def bounded_ditree_search(a: DistributedAutomaton | ForgetfulAutomaton,
-                          max_nodes: int,
-                          safety_cap: int = DITREE_SAFETY_CAP):
+                          max_nodes: int):
     """First accepted labeled pointed ditree with at most max_nodes nodes,
     or None.  A None result is NOT an emptiness proof (the general problem
     is undecidable); it only bounds witness size from below."""
-    if max_nodes > safety_cap:
-        raise OracleBoundError(f"ditree bound {max_nodes} over safety cap "
-                               f"{safety_cap}")
     if a.rels != 1:
         raise ValueError("ditree search supports 1-relational automata")
     if isinstance(a, ForgetfulAutomaton):
@@ -156,8 +151,7 @@ def bounded_ditree_search(a: DistributedAutomaton | ForgetfulAutomaton,
         raise ValueError("automaton names no labels, so the label width "
                          "of its witnesses is unknown")
     bits = len(labels[0])
-    for tree in enumerate_rooted_ditrees(max_nodes, bits=bits,
-                                         safety_bound=safety_cap):
+    for tree in enumerate_rooted_ditrees(max_nodes, bits=bits):
         if decide(a, tree):
             return tree
     return None

@@ -387,28 +387,30 @@ def eval_modal(f: Formula, pd: PointedDigraph, env: dict | None = None) -> bool:
     return _holds(f, ctx, {**(env or {}), "pos": pd.point})
 
 
+def _check_mso_bound(d: Digraph) -> None:
+    if d.n > MSO_NODE_BOUND:
+        raise OracleBoundError(
+            f"structure has {d.n} nodes, oracle bound is {MSO_NODE_BOUND}")
+
+
 def eval_mso(f: Formula, g: Digraph | PointedDigraph,
-             env: dict | None = None, bound: int = MSO_NODE_BOUND) -> bool:
+             env: dict | None = None) -> bool:
     """Brute-force evaluation with set/node quantifiers (the trusted oracle).
 
-    Refuses structures above the node bound instead of approximating.
+    Refuses structures above MSO_NODE_BOUND nodes instead of approximating.
     """
     d = g.digraph if isinstance(g, PointedDigraph) else g
-    if d.n > bound:
-        raise OracleBoundError(
-            f"structure has {d.n} nodes, oracle bound is {bound}")
+    _check_mso_bound(d)
     env = dict(env or {})
     if isinstance(g, PointedDigraph):
         env.setdefault("pos", g.point)
     return _holds(f, _Ctx(d), env)
 
 
-def sem_nodes(f: Formula, d: Digraph, env: dict | None = None,
-              bound: int = MSO_NODE_BOUND) -> frozenset[int]:
+def sem_nodes(f: Formula, d: Digraph,
+              env: dict | None = None) -> frozenset[int]:
     """The node-set variant: nodes at which the formula holds."""
-    if d.n > bound:
-        raise OracleBoundError(
-            f"structure has {d.n} nodes, oracle bound is {bound}")
+    _check_mso_bound(d)
     ctx = _Ctx(d)
     base = dict(env or {})
     return frozenset(v for v in d.nodes()

@@ -15,7 +15,12 @@ from typing import Iterable, Iterator, Sequence
 ENUM_SAFETY_BOUND = 6
 
 
-class OracleBoundError(ValueError):
+class LimitExceeded(Exception):
+    """A computation refused because it would pass one of the size caps;
+    the input itself may be well formed."""
+
+
+class OracleBoundError(LimitExceeded):
     """Raised when an exhaustive sweep would exceed its configured bound."""
 
 
@@ -330,9 +335,14 @@ def is_undirected(d: Digraph) -> bool:
 CANDIDATE_LIMIT = 1 << 24   # candidate codes one augmentation step may hold
 
 
+def _check_safety_bound(max_nodes: int, what: str) -> None:
+    if max_nodes > ENUM_SAFETY_BOUND:
+        raise OracleBoundError(f"refusing to enumerate {what} with "
+                               f"{max_nodes} > {ENUM_SAFETY_BOUND} nodes")
+
+
 def enumerate_digraphs(max_nodes: int, bits: int = 0, rels: int = 1,
-                       iso_reduce: bool = False,
-                       safety_bound: int = ENUM_SAFETY_BOUND) -> Iterator[Digraph]:
+                       iso_reduce: bool = False) -> Iterator[Digraph]:
     """Yield every digraph with at most ``max_nodes`` nodes.
 
     Without ``iso_reduce`` the stream ranges over node-id-labeled structures:
@@ -341,9 +351,7 @@ def enumerate_digraphs(max_nodes: int, bits: int = 0, rels: int = 1,
     (sound for all implemented semantics, which are isomorphism-invariant),
     in increasing packed code.
     """
-    if max_nodes > safety_bound:
-        raise OracleBoundError(
-            f"refusing to enumerate digraphs with {max_nodes} > {safety_bound} nodes")
+    _check_safety_bound(max_nodes, "digraphs")
     for n in range(1, max_nodes + 1):
         decode, label_codes = _decoder(n, bits, rels)
         if iso_reduce:
@@ -459,16 +467,14 @@ def _canonical_codes(n: int, bits: int, rels: int):
     return np.unique(canon)
 
 
-def enumerate_rooted_ditrees(max_nodes: int, bits: int = 0,
-                             safety_bound: int = ENUM_SAFETY_BOUND
+def enumerate_rooted_ditrees(max_nodes: int, bits: int = 0
                              ) -> Iterator[PointedDigraph]:
     """All labeled pointed 1-relational ditrees with <= max_nodes nodes.
 
     Shapes come from parent arrays with parent(i) < i; duplicates under
     sibling reordering are allowed (harmless for witness search).
     """
-    if max_nodes > safety_bound:
-        raise OracleBoundError("ditree enumeration bound exceeded")
+    _check_safety_bound(max_nodes, "ditrees")
     for n in range(1, max_nodes + 1):
         for parents in itertools.product(*[range(i) for i in range(1, n)]):
             full = [None] + list(parents)
@@ -498,13 +504,11 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def enumerate_ordered_ditrees(max_nodes: int, bits: int = 0, arity: int = 2,
-                              safety_bound: int = ENUM_SAFETY_BOUND
+def enumerate_ordered_ditrees(max_nodes: int, bits: int = 0, arity: int = 2
                               ) -> Iterator[PointedDigraph]:
     """All labeled pointed ordered ditrees (relation i = i-th child edge,
     pointing toward the parent) with <= max_nodes nodes."""
-    if max_nodes > safety_bound:
-        raise OracleBoundError("ordered ditree enumeration bound exceeded")
+    _check_safety_bound(max_nodes, "ordered ditrees")
     for n in range(1, max_nodes + 1):
         for shape in _ordered_shapes(n, arity):
             tree = _shape_to_tree(shape, bits, arity)

@@ -18,7 +18,7 @@ from .automata import (DistributedAutomaton, _has_nontrivial_cycle,
                        _infer_bits, state_diagram)
 from .formulas import (And, BBox, BDia, Bot, In, MuSystem, Not, Or, Top,
                        _pair_holds, flatten_mu)
-from .graphs import _bitstrings, _cached, subsets
+from .graphs import LimitExceeded, _bitstrings, _cached, subsets
 
 MAX_COMPILE_PROPS = 10
 
@@ -44,7 +44,7 @@ def compile_mu_to_aqda(system: MuSystem) -> DistributedAutomaton:
     system = flatten_mu(system)
     props = tuple(f"P{i}" for i in range(1, system.bits + 1)) + system.variables
     if len(props) > MAX_COMPILE_PROPS:
-        raise ValueError(
+        raise LimitExceeded(
             f"{len(props)} propositions exceed the compile bound of "
             f"{MAX_COMPILE_PROPS} (powerset state space)")
     names = {s: _state_name(s) for s in subsets(props)}
@@ -133,22 +133,20 @@ class EnablesRelation:
         return (history, trace) in self.pairs
 
 
-def compute_enables(a: DistributedAutomaton,
-                    restrict_to_initial: bool = False) -> EnablesRelation:
+def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
     """Least relation containing the base pairs and closed under the
-    inductive clause.
+    inductive clause, over the live traces: those whose first state is in
+    the initialization image.
 
-    With ``restrict_to_initial`` the trace universe keeps only traces whose
-    first state is in the initialization image.  All other trace variables
-    are identically empty in the decompiled system (their initialization
-    disjunction is empty), so each dropped pair corresponds to an
-    identically-false disjunct; decompilation semantics is unchanged while
-    the history space shrinks from 2^|T| to 2^|live T|.
+    Every other trace variable is identically empty in the decompiled
+    system (its initialization disjunction is empty), so each pair left
+    out corresponds to an identically-false disjunct; decompilation
+    semantics is unchanged while the history space shrinks from 2^|T| to
+    2^|live T|.
     """
     succ = _require_quasi_acyclic(a)
-    starts = frozenset(a.init.values()) if restrict_to_initial else None
-    traces = compute_traces(a, starts, succ)
-    start_states = sorted(starts) if starts is not None else list(a.states)
+    start_states = sorted(frozenset(a.init.values()))
+    traces = compute_traces(a, start_states, succ)
 
     # bitmask encoding of traces and histories
     index = {t: i for i, t in enumerate(sorted(traces))}
@@ -249,7 +247,7 @@ def decompile_qda_to_mu(a: DistributedAutomaton) -> MuSystem:
     """Backward mu-fragment formula equivalent to a quasi-acyclic
     (lossless-asynchronous) automaton: one variable per trace plus a main
     variable collecting the accepting-ending traces."""
-    enables = compute_enables(a, restrict_to_initial=True)
+    enables = compute_enables(a)
     traces = sorted(enables.traces, key=lambda t: (len(t), t))
     bits = _infer_bits(a)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import (DistributedAutomaton, ForgetfulAutomaton, _names,
-                       _positive)
-from .graphs import PointedDigraph, dipath, subsets
+                       _positive, check_enum_limit)
+from .graphs import LimitExceeded, PointedDigraph, dipath, subsets
 
 TM_WINDOW_LIMIT = 100_000  # max window states tm_to_da builds
 
@@ -120,6 +120,7 @@ def fda_to_dfa(a: ForgetfulAutomaton) -> Dfa:
     i-th node."""
     if a.rels != 1:
         raise ValueError("the word bridge needs a 1-relational automaton")
+    check_enum_limit(len(a.states), a.rels)
     letters = a.letters
     sets = list(subsets(sorted(a.states)))
     name = {s: "{" + ",".join(sorted(s)) + "}" for s in sets}
@@ -242,8 +243,8 @@ def tm_to_da(m: TuringMachine) -> DistributedAutomaton:
         raise ValueError("'.' is reserved for the waiting symbol")
     windows = (1 + len(m.states) * len(m.tape) + len(m.tape)) ** 3
     if windows > TM_WINDOW_LIMIT:
-        raise ValueError(f"tm_to_da would build {windows} window states; "
-                         f"the cap is {TM_WINDOW_LIMIT}")
+        raise LimitExceeded(f"tm_to_da would build {windows} window "
+                            f"states; the cap is {TM_WINDOW_LIMIT}")
     headed = [(q, s) for q in m.states for s in m.tape]
     cellvals = [W] + headed + list(m.tape)
 

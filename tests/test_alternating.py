@@ -292,7 +292,7 @@ def test_game_successor_cap(monkeypatch):
     a = in_edges_pick({"c1": "E", "c2": "E", "c3": "E"},
                       {"c1"}, {"c1", "c2", "c3"})
     for decide in (decide_acceptance_alt, accepting_run_exists):
-        with pytest.raises(AltError, match="too many successors"):
+        with pytest.raises(graphs.LimitExceeded, match="too many successors"):
             decide(a, star(3))  # 1 * 3 * 3 successors
     agrees(a, [star(2), make(0, 1, [""] * 4, [(1, 0, 1)])])
 

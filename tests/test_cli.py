@@ -790,6 +790,64 @@ def test_an_alternating_automaton_over_the_enumeration_cap_is_a_limit(
         "exhaustive enumeration limit")
 
 
+def _cap_files():
+    """Files just over a cap: a 17-state distributed automaton, a 17-state
+    forgetful automaton whose second step set holds all 17 states, a
+    9-state, 9-symbol Turing machine, and an 11-proposition formula."""
+    from disto.reductions import TuringMachine
+    states = [f"q{i}" for i in range(17)]
+    tm_states = tuple(f"q{i}" for i in range(8)) + ("h",)
+    tape = tuple("_abcdefgh")
+    tm = TuringMachine(states=tm_states, tape=tape, initial="q0", blank="_",
+                       delta={(q, s): ("h", s, "R")
+                              for q in tm_states[:-1] for s in tape},
+                       halt="h")
+    return dict(
+        _verb_files(),
+        a17={"states": states, "relations": 1, "init": {"": "q0"},
+             "accepting": [], "rules": [{"from": q, "guards": [], "to": q}
+                                        for q in states]},
+        f17={"states": states, "relations": 1, "initial": "q0",
+             "accepting": [],
+             "delta": {format(i, "05b"): [{"guards": [], "to": q}]
+                       for i, q in enumerate(states)}},
+        tm9=tm_json_dict(tm), mu11="(mu ((X1 (in P1))))")
+
+
+@pytest.mark.parametrize("argv,cls", [
+    (["run", "@a", "@g", "--horizon", "0"], "HorizonExceeded"),
+    (["decompile-qda", "@a17"], "ClassificationInfeasible"),
+    (["alt-accept", "@alt", "@g0"], "LimitExceeded"),
+    (["tm2da", "@tm9"], "LimitExceeded"),
+    (["compile-mu", "@mu11", "--bits", "10"], "LimitExceeded"),
+    (["search-witness", "@a", "--max-nodes", "7"], "OracleBoundError"),
+    (["empty-forgetful", "@f17"], "ClassificationInfeasible"),
+    (["fda2dfa", "@f17"], "ClassificationInfeasible"),
+    (["gen", "dipath", "--n", str(cli.GEN_SIZE_LIMIT + 1)], "LimitExceeded"),
+], ids=["horizon", "enum-limit", "game-successors", "tm-windows",
+        "compile-props", "ditree-nodes", "forgetful-steps", "fda-powerset",
+        "gen-size"])
+def test_every_cap_is_a_limit(capsys, tmp_path, monkeypatch, argv, cls):
+    from disto import alternating
+    # only the alt-accept row plays a game: its first configuration has
+    # one successor, over a cap of 0
+    monkeypatch.setattr(alternating, "GAME_SUCCESSOR_CAP", 0)
+    code, out = run_cli(capsys, *_write_files(str(tmp_path), _cap_files(),
+                                              argv))
+    assert code == 1 and out["verdict"] == "limit-exceeded"
+    assert out["details"]["message"].startswith(f"{cls}: ")
+
+
+def test_empty_nldag_searches_a_cap_above_the_enumeration_bound(capsys,
+                                                               tmp_path):
+    # the pigeonhole bound is 3^2 = 9, so --max-nodes 8 is the search cap
+    code, out = run_cli(capsys, *_write_files(
+        str(tmp_path), _verb_files(),
+        ["empty-nldag", "@alt", "--max-nodes", "8"]))
+    assert code == 0 and out["verdict"] == "nonempty"
+    assert graphs.from_json_dict(out["details"]["witness"]).n == 1
+
+
 def test_a_directory_as_the_path_is_an_input_error(capsys, tmp_path,
                                                    edge_graph_file):
     for argv in (["alt-accept", str(tmp_path), edge_graph_file],
@@ -829,9 +887,42 @@ def test_every_library_error_is_a_value_error_or_a_limit():
         found |= {cls for _, cls in inspect.getmembers(module, inspect.isclass)
                   if issubclass(cls, BaseException)
                   and cls.__module__ == module.__name__}
-    limits = {automata.HorizonExceeded, automata.ClassificationInfeasible}
+    limits = {cls for cls in found if issubclass(cls, graphs.LimitExceeded)}
     assert len(found) >= 14
-    assert all(issubclass(cls, ValueError) for cls in found - limits)
+    assert {automata.HorizonExceeded, automata.ClassificationInfeasible,
+            graphs.OracleBoundError, graphs.LimitExceeded} <= limits
+    assert all(issubclass(cls, ValueError) != (cls in limits)
+               for cls in found)
+
+
+def _readme_caps() -> str:
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    return text.split("### Caps", 1)[1].split("\n#", 1)[0]
+
+
+def test_every_cap_constant_is_documented():
+    caps = _readme_caps()
+    named = re.compile(r"[A-Z_]+_(LIMIT|CAP|BOUND)|MAX_[A-Z_]+")
+    constants = [name for module in _disto_modules()
+                 for name, value in vars(module).items()
+                 if named.fullmatch(name) and type(value) is int]
+    assert len(constants) >= 10
+    assert [c for c in constants if f"`{c}`" not in caps] == []
+    knobs = {"bound", "safety_bound", "safety_cap", "restrict_to_initial"}
+    for module in _disto_modules():
+        for name, obj in inspect.getmembers(module):
+            if name.startswith("_") or getattr(
+                    obj, "__module__", None) != module.__name__:
+                continue
+            members = ([m for n, m in vars(obj).items()
+                        if not n.startswith("_")]
+                       if inspect.isclass(obj) else [obj])
+            for f in members:
+                if inspect.isfunction(f):
+                    params = set(inspect.signature(f).parameters)
+                    assert not params & knobs, (module.__name__, name)
 
 
 def test_every_annotation_resolves():

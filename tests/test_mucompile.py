@@ -6,7 +6,7 @@ from disto import automata, zoo
 from disto import formulas as fm
 from disto.automata import DistributedAutomaton, classify, sync_run
 from disto.formulas import MuEvaluator, MuSystem, eval_mu
-from disto.graphs import enumerate_digraphs
+from disto.graphs import LimitExceeded, enumerate_digraphs, subsets
 from disto.mucompile import (ClassError, _and, _infer_bits, _init_body, _or,
                              compile_mu_to_aqda, compute_enables,
                              compute_traces, decompile_qda_to_mu,
@@ -60,7 +60,7 @@ def test_compile_bound_enforced():
     huge = MuSystem(
         5, tuple(f"X{i}" for i in range(1, 7)),
         tuple(fm.Top() for _ in range(6)))
-    with pytest.raises(ValueError):
+    with pytest.raises(LimitExceeded):
         compile_mu_to_aqda(huge)
 
 
@@ -122,10 +122,11 @@ def test_enables_single_state_base():
 def test_enables_contains_all_base_pairs():
     a = chain_two_states()
     rel = compute_enables(a)
-    for nstates in ([], ["q0"], ["q1"], ["q0", "q1"]):
+    live = sorted(set(a.init.values()))
+    for nstates in subsets(live):
         history = frozenset((q,) for q in nstates)
-        for q in a.states:
-            target = a.step(q, (frozenset(nstates),))
+        for q in live:
+            target = a.step(q, (nstates,))
             trace = (q,) if target == q else (q, target)
             assert rel.holds(history, trace)
 
@@ -135,8 +136,6 @@ def test_enables_fixpoint_unique_and_monotone():
     r1 = compute_enables(a)
     r2 = compute_enables(a)
     assert r1.pairs == r2.pairs
-    restricted = compute_enables(a, restrict_to_initial=True)
-    assert restricted.pairs <= r1.pairs
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,7 @@ def test_decompile_builds_one_state_diagram(monkeypatch):
 def reference_decompile(a):
     """Decompilation with a fresh atom for every use: the reference for the
     shared-atom bodies."""
-    enables = compute_enables(a, restrict_to_initial=True)
+    enables = compute_enables(a)
     traces = sorted(enables.traces, key=lambda t: (len(t), t))
     bits = _infer_bits(a)
 
@@ -226,7 +225,7 @@ def test_enablers_index_matches_a_plain_scan(mu_corpus):
     automata_ = [zoo.reachability_automaton()]
     automata_ += [compile_mu_to_aqda(sys_) for sys_ in mu_corpus[:10]]
     for a in automata_:
-        enables = compute_enables(a, restrict_to_initial=True)
+        enables = compute_enables(a)
         for trace in sorted(enables.traces) + [("nowhere",)]:
             scan = tuple(sorted((h for (h, t) in enables.pairs if t == trace),
                                 key=lambda h: (len(h), sorted(h))))
@@ -236,8 +235,7 @@ def test_enablers_index_matches_a_plain_scan(mu_corpus):
 def test_decompile_shares_each_trace_atom():
     a = zoo.reachability_automaton()
     sys_ = decompile_qda_to_mu(a)
-    longer = sorted(t for t in compute_enables(a, restrict_to_initial=True)
-                    .traces if len(t) > 1)
+    longer = sorted(t for t in compute_enables(a).traces if len(t) > 1)
     t1, t2 = next((s, t) for s, t in zip(longer, longer[1:]) if s[0] == t[0])
     start1 = sys_.body_of(trace_var(t1)).args[0]
     start2 = sys_.body_of(trace_var(t2)).args[0]

@@ -7,7 +7,7 @@ from disto import reductions, zoo
 from disto.automata import (decide_acceptance_forgetful,
                             decide_acceptance_sync, forgetful_run,
                             monovisioned_transform, sync_run)
-from disto.graphs import dipath, enumerate_ordered_ditrees, make
+from disto.graphs import LimitExceeded, dipath, enumerate_ordered_ditrees, make
 from disto.reductions import (Dfa, TreeAutomaton, TuringMachine,
                               dfa_from_json_dict, dfa_json_dict, dfa_to_fda,
                               fda_to_dfa, ta_from_json_dict, ta_json_dict,
@@ -274,8 +274,8 @@ def test_tm_to_da_refuses_more_windows_than_its_cap():
     m = TuringMachine(states=states, tape=tape, initial="q0", blank="_",
                       delta={(q, s): ("h", s, "R")
                              for q in states[:-1] for s in tape}, halt="h")
-    with pytest.raises(ValueError, match="753571 window states; the cap "
-                                         "is 100000"):
+    with pytest.raises(LimitExceeded, match="753571 window states; the "
+                                            "cap is 100000"):
         tm_to_da(m)
     assert all((1 + len(z.states) * len(z.tape) + len(z.tape)) ** 3
                <= reductions.TM_WINDOW_LIMIT
