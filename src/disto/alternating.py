@@ -55,7 +55,6 @@ class ExplicitSets(AcceptingSets):
 @dataclass(frozen=True)
 class PredicateSets(AcceptingSets):
     fn: Callable[[frozenset], bool]
-    label: str = "predicate"
 
     def contains(self, occurring: frozenset) -> bool:
         return bool(self.fn(occurring))
@@ -453,7 +452,7 @@ def complement(a: AltAutomaton) -> AltAutomaton:
         states=a.states,
         kind={q: flip[k] for q, k in a.kind.items()},
         rels=a.rels, init=dict(a.init), delta=a.delta,
-        accepting=PredicateSets(lambda s: not acc.contains(s), "complement"),
+        accepting=PredicateSets(lambda s: not acc.contains(s)),
         succ_map=a.succ_map,
     )
 
@@ -530,7 +529,7 @@ def union(a: AltAutomaton, b: AltAutomaton) -> AltAutomaton:
     init = {lab: ("choice", lab) for lab in a.init}
     return AltAutomaton(states=tuple(states), kind=kind, rels=a.rels,
                         init=init, delta=delta,
-                        accepting=PredicateSets(accepts, "union"),
+                        accepting=PredicateSets(accepts),
                         succ_map=succ)
 
 
@@ -587,7 +586,7 @@ def intersect(a: AltAutomaton, b: AltAutomaton) -> AltAutomaton:
     init = {lab: (a.init[lab], b.init[lab]) for lab in a.init}
     out = AltAutomaton(states=tuple(pairs), kind=kind, rels=a.rels,
                        init=init, delta=delta,
-                       accepting=PredicateSets(accepts, "product"),
+                       accepting=PredicateSets(accepts),
                        succ_map=succ)
     return prune_reachable(out)
 
@@ -657,7 +656,7 @@ def project(a: AltAutomaton, mapping: dict[str, str]) -> AltAutomaton:
     init = {lab: ("start", lab) for lab in out_labels}
     out = AltAutomaton(states=tuple(states), kind=kind, rels=a.rels,
                        init=init, delta=delta,
-                       accepting=PredicateSets(accepts, "project"),
+                       accepting=PredicateSets(accepts),
                        succ_map=succ)
     return prune_reachable(out)
 

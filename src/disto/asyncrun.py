@@ -10,12 +10,12 @@ keeps acceptance decidable through the synchronous lasso on the suffix.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
 
 from .automata import (DEFAULT_HORIZON_CAP, DistributedAutomaton,
-                       HorizonExceeded, _accepting_columns, _interned)
+                       HorizonExceeded, RunResult, _accepting_columns,
+                       _interned)
 from .graphs import Digraph, PointedDigraph, _cached
 
 Trace = tuple[str, ...]
@@ -124,22 +124,18 @@ class AsyncConfiguration:
 
 
 @dataclass(frozen=True, eq=False)
-class AsyncRunResult:
+class AsyncRunResult(RunResult):
     """A timed run from time 0 through the lasso prefix and one period.
 
+    ``ids`` holds the node states per time step, as in ``RunResult``.
     Each buffer is a suffix of its source's history: the source's state
-    ids with consecutive repeats dropped.  ``ids`` holds the node states
-    and ``heads`` each buffer's first index into that history, per time
-    step; ``names`` is the automaton's id -> state list (only appended
-    to).  ``configs`` decodes every configuration once, on first access."""
+    ids with consecutive repeats dropped.  ``heads`` holds each buffer's
+    first index into that history, per time step.  ``configs`` decodes
+    every configuration, buffers included, once, on first access."""
 
     edge_order: tuple[tuple[int, int, int], ...]
-    ids: tuple[tuple[int, ...], ...]
     heads: tuple[tuple[int, ...], ...]
     history: tuple[tuple[int, ...], ...]
-    names: Sequence = field(repr=False)
-    prefix: int
-    period: int
 
     @_cached
     def configs(self) -> tuple[AsyncConfiguration, ...]:
@@ -158,17 +154,14 @@ class AsyncRunResult:
                                               buffers, t))
         return tuple(configs)
 
-    def visited_states(self, v: int) -> set[str]:
-        names = self.names
-        return {names[i] for i in {c[v] for c in self.ids}}
-
 
 def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
-              horizon="auto", cap: int = DEFAULT_HORIZON_CAP) -> AsyncRunResult:
+              horizon: int = DEFAULT_HORIZON_CAP) -> AsyncRunResult:
     """Timed run per the three-case inductive definition: an inactive node
     keeps its state, an active one applies delta to the incoming buffer
     heads; each buffer pushes the source's new state and pops when its edge
-    is active.  The all-active tail is explored up to lasso closure.
+    is active.  The all-active tail is explored up to lasso closure, which
+    must come within ``horizon`` steps, or ``HorizonExceeded`` is raised.
 
     A buffer's last entry is always its source's current state and a pop
     never removes it, so the buffer is a suffix of the source's history
@@ -201,10 +194,8 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
     head_bit = [bits[state[s]][1] for s in src]  # slot-1 bit of each head
     ids, heads = [tuple(state)], [tuple(head)]
     seen: dict = {}
-    auto = horizon == "auto"
-    limit = cap if auto else min(int(horizon), cap)
     all_nodes, all_edges = d.nodes(), range(len(order))
-    for t in range(1, limit + 1):
+    for t in range(1, horizon + 1):
         if t <= len(steps):
             step = steps[t - 1]
             nodes = compress(all_nodes, step.nodes)
@@ -232,22 +223,20 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
                 head_bit[e] = bits[trace[h]][1]
                 stale[dst[e]] = True
         conf = tuple(state)
-        if auto and t > len(steps):
+        if t > len(steps):
             lasso = (conf, tuple(tuple(history[s][h:])
                                  for s, h in zip(src, head)))
             first = seen.setdefault(lasso, t)
             if first != t:
-                period = t - first
                 break
         ids.append(conf)
         heads.append(tuple(head))
     else:
-        if auto:
-            raise HorizonExceeded(f"no lasso within {limit} steps")
-        first, period = len(ids) - 1, 1
-    return AsyncRunResult(order, tuple(ids), tuple(heads),
-                          tuple(map(tuple, history)), ix.names,
-                          prefix=first, period=period)
+        raise HorizonExceeded(f"no lasso within {horizon} steps")
+    return AsyncRunResult(tuple(ids), ix.names, prefix=first,
+                          period=t - first, edge_order=order,
+                          heads=tuple(heads),
+                          history=tuple(map(tuple, history)))
 
 
 def decide_acceptance_timed(a: DistributedAutomaton, pd: PointedDigraph,

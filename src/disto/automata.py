@@ -173,7 +173,7 @@ class RunResult:
     first access; ``state_at`` and ``visited_states`` one node's column."""
 
     ids: tuple[tuple[int, ...], ...]
-    names: Sequence = field(repr=False)
+    names: list = field(repr=False)
     prefix: int
     period: int
 
@@ -238,9 +238,11 @@ def _interned(a, rels: int) -> _Interned:
 
 
 def _run_rounds(a, d: Digraph, initial: Sequence[str],
-                letters: Sequence[str] | None, horizon, cap: int) -> RunResult:
+                letters: Sequence[str] | None, horizon: int) -> RunResult:
     """The round loop of synchronous runs (``letters`` None: slot 0 holds
     a node's current state) and forgetful runs (slot 0 holds its letter).
+    It ends in the run's lasso, or raises ``HorizonExceeded`` if the lasso
+    has not closed within ``horizon`` rounds.
 
     Round 1 computes every node.  Later rounds recompute, in increasing
     node order, only the nodes that read a node whose state changed in the
@@ -261,10 +263,8 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
     first = 0 if own else 1  # the slots a node's state change rewrites
     conf = tuple(state)
     seen, configs = {conf: 0}, [conf]
-    auto = horizon == "auto"
-    limit = cap if auto else min(int(horizon), cap)
     dirty = range(d.n)
-    for t in range(1, limit + 1):
+    for t in range(1, horizon + 1):
         changed = []
         for v in dirty:
             key = 0
@@ -287,31 +287,27 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
             conf = tuple(state)
         else:
             dirty = ()
-        if auto:
-            prefix = seen.setdefault(conf, t)
-            if prefix != t:
-                period = t - prefix
-                break
-        configs.append(conf)
-        if not auto and t == limit:
-            # bounded window: no lasso claim, report the last config as fixed
-            prefix, period = t, 1
+        prefix = seen.setdefault(conf, t)
+        if prefix != t:
             break
+        configs.append(conf)
     else:
-        raise HorizonExceeded(f"no lasso within {limit} steps")
-    return RunResult(tuple(configs), ix.names, prefix=prefix, period=period)
+        raise HorizonExceeded(f"no lasso within {horizon} steps")
+    return RunResult(tuple(configs), ix.names, prefix=prefix,
+                     period=t - prefix)
 
 
 def sync_run(a: DistributedAutomaton, d: Digraph,
-             horizon="auto", cap: int = DEFAULT_HORIZON_CAP) -> RunResult:
-    """The synchronous run rho_0, rho_1, ... with lasso info.
+             horizon: int = DEFAULT_HORIZON_CAP) -> RunResult:
+    """The synchronous run rho_0, rho_1, ... through its lasso, which must
+    close within ``horizon`` rounds.
 
     rho_0(v) = init(label(v)); rho_{t+1}(v) = delta(rho_t(v), incoming sets).
     """
     if a.rels != d.rels:
         raise ValueError(f"automaton has {a.rels} relations, digraph {d.rels}")
     initial = [a.initial_state(x) for x in d.labels]
-    return _run_rounds(a, d, initial, None, horizon, cap)
+    return _run_rounds(a, d, initial, None, horizon)
 
 
 def decide_acceptance_sync(a: DistributedAutomaton, pd: PointedDigraph) -> bool:
@@ -462,10 +458,10 @@ class ForgetfulAutomaton:
 
 
 def forgetful_run(a: ForgetfulAutomaton, d: Digraph,
-                  horizon="auto", cap: int = DEFAULT_HORIZON_CAP) -> RunResult:
+                  horizon: int = DEFAULT_HORIZON_CAP) -> RunResult:
     if a.rels != d.rels:
         raise ValueError(f"automaton has {a.rels} relations, digraph {d.rels}")
-    return _run_rounds(a, d, [a.initial] * d.n, d.labels, horizon, cap)
+    return _run_rounds(a, d, [a.initial] * d.n, d.labels, horizon)
 
 
 def decide_acceptance_forgetful(a: ForgetfulAutomaton, pd: PointedDigraph) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import alternating as alt
@@ -86,8 +87,7 @@ def _write_out(args, obj: dict) -> None:
 def cmd_run(args):
     a = _load(args.automaton, automata.from_json_dict)
     d = _load(args.graph, _digraph)
-    horizon = "auto" if args.horizon == "auto" else int(args.horizon)
-    run = automata.sync_run(a, d, horizon=horizon)
+    run = automata.sync_run(a, d, horizon=int(args.horizon))
     return "ran", {
         "prefix": run.prefix,
         "period": run.period,
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = add("run", cmd_run, automaton={}, graph={})
-    sp.add_argument("--horizon", default="auto")
+    sp.add_argument("--horizon", default=automata.DEFAULT_HORIZON_CAP)
     add("accept", cmd_accept, automaton={}, graph={})
     add("accept-timed", cmd_accept_timed, automaton={}, graph={}, timing={})
     sp = add("falsify-async", cmd_falsify_async, automaton={}, graph={})
@@ -361,23 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 1
     try:
         verdict, details = args.fn(args)
+        code = 2 if args.strict and verdict in _REJECTING_VERDICTS else 0
     except InputError as e:
-        print(report_format("input-error", {"message": str(e)}))
-        return 1
+        verdict, details = "input-error", {"message": str(e)}
     except graphs.LimitExceeded as e:
-        print(report_format("limit-exceeded",
-                            {"message": f"{type(e).__name__}: {e}"}))
-        return 1
+        verdict, details = "limit-exceeded", {
+            "message": f"{type(e).__name__}: {e}"}
     except (ValueError, KeyError) as e:
-        print(report_format("input-error",
-                            {"message": f"{type(e).__name__}: {e}"}))
+        verdict, details = "input-error", {
+            "message": f"{type(e).__name__}: {e}"}
+    try:
+        print(report_format(verdict, details))
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so that the
+        # flush at interpreter exit does not raise again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    print(report_format(verdict, details))
-    if args.strict and verdict in _REJECTING_VERDICTS:
-        return 2
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -491,14 +491,22 @@ class MuSystem:
             if label_constant_index(name) is not None:
                 raise KernelViolation(f"fixpoint variable {name!r} is named "
                                       f"like a label constant")
+        variables, seen = set(self.variables), set()
         for body in self.bodies:
-            _check_mu_body(body, set(self.variables), self.bits)
+            _check_mu_body(body, variables, self.bits, seen)
 
     def body_of(self, name: str):
         return self.bodies[self.variables.index(name)]
 
 
-def _check_mu_body(f: Formula, variables: set[str], bits: int) -> None:
+def _check_mu_body(f: Formula, variables: set[str], bits: int,
+                   seen: set[int]) -> None:
+    """Refuse ``f`` unless it is a mu-fragment body.  ``seen`` holds the
+    ids of the nodes already checked against the same ``variables`` and
+    ``bits``, so a subtree shared between bodies is walked once."""
+    if id(f) in seen:
+        return
+    seen.add(id(f))
     if isinstance(f, (Top, Bot)):
         return
     if isinstance(f, In) and f.at is None:
@@ -519,13 +527,13 @@ def _check_mu_body(f: Formula, variables: set[str], bits: int) -> None:
                               "in the mu-fragment")
     if isinstance(f, (Or, And)):
         for g in f.args:
-            _check_mu_body(g, variables, bits)
+            _check_mu_body(g, variables, bits, seen)
         return
     if isinstance(f, (BDia, BBox)):
         if f.rel != 1 or len(f.args) != 1:
             raise KernelViolation("mu bodies use unary backward modalities "
                                   "over the single relation")
-        _check_mu_body(f.args[0], variables, bits)
+        _check_mu_body(f.args[0], variables, bits, seen)
         return
     raise KernelViolation(f"construct {type(f).__name__} not in the "
                           f"mu-fragment grammar")
@@ -692,7 +700,7 @@ class MuEvaluator:
         _check_mu_digraph(self.system, d)
         initial = [frozenset(f"P{i}" for i, b in enumerate(lab, 1) if b == "1")
                    for lab in d.labels]
-        run = _run_rounds(self, d, initial, None, "auto", DEFAULT_HORIZON_CAP)
+        run = _run_rounds(self, d, initial, None, DEFAULT_HORIZON_CAP)
         final, names = run.ids[-1], run.names
         vals = {name: frozenset(v for v, q in enumerate(final)
                                 if name in names[q])

@@ -7,7 +7,7 @@ import random
 
 from disto import formulas as fm
 from disto.alternating import AltAutomaton, explicit
-from disto.automata import ForgetfulAutomaton
+from disto.automata import DistributedAutomaton, ForgetfulAutomaton
 from disto.graphs import Digraph
 from disto.reductions import Dfa, TreeAutomaton
 
@@ -19,6 +19,17 @@ def random_digraph(rng: random.Random, max_nodes: int, bits: int = 0,
     edges = [(r, s, t) for r in range(1, rels + 1)
              for s in range(n) for t in range(n) if rng.random() < edge_p]
     return Digraph(bits, rels, tuple(labels), frozenset(edges))
+
+
+def oscillator() -> DistributedAutomaton:
+    """A source flips between a and b; every other node copies the state
+    it receives, so a wave of changes runs down a dipath forever."""
+    def delta(q, nvec):
+        if not nvec[0]:
+            return "b" if q == "a" else "a"
+        return min(nvec[0])
+    return DistributedAutomaton(states=("a", "b"), rels=1, init={"": "a"},
+                                accepting=frozenset({"b"}), delta=delta)
 
 
 def random_mu_system(rng: random.Random, max_vars: int = 2,

@@ -16,7 +16,7 @@ from disto.asyncrun import (AsyncConfiguration, Timing, TimingError,
 from disto.automata import (DEFAULT_HORIZON_CAP, DistributedAutomaton,
                             HorizonExceeded, InitializationError,
                             UnmatchedTransition)
-from disto.graphs import Digraph, edge_fault, make, subsets
+from disto.graphs import Digraph, dipath, edge_fault, make, subsets
 from disto.mucompile import compile_mu_to_aqda
 
 import gens
@@ -238,8 +238,7 @@ def _edge_active(timing, t, idx):
     return True
 
 
-def reference_async_run(a, d, timing, horizon="auto",
-                        cap=DEFAULT_HORIZON_CAP):
+def reference_async_run(a, d, timing, horizon=DEFAULT_HORIZON_CAP):
     """(edge order, configs, prefix, period) of the timed run: one
     ``frozenset`` of buffer heads per active node and one new trace per
     edge, every step."""
@@ -258,8 +257,7 @@ def reference_async_run(a, d, timing, horizon="auto",
     buffers = tuple((a.initial_state(d.label(src)),) for (_, src, _) in order)
     configs = [AsyncConfiguration(nodes, buffers, 0)]
     seen = {}
-    limit = cap if horizon == "auto" else min(int(horizon), cap)
-    for t in range(1, limit + 1):
+    for t in range(1, horizon + 1):
         new_nodes = []
         for v in d.nodes():
             if _node_active(timing, t, v):
@@ -276,15 +274,13 @@ def reference_async_run(a, d, timing, horizon="auto",
             new_buffers.append(buf)
         nodes, buffers = new_nodes, tuple(new_buffers)
         configs.append(AsyncConfiguration(nodes, buffers, t))
-        if horizon == "auto" and t > len(timing.prefix):
+        if t > len(timing.prefix):
             key = (nodes, buffers)
             if key in seen:
                 first = seen[key]
                 return order, tuple(configs[:t]), first, t - first
             seen[key] = t
-    if horizon != "auto":
-        return order, tuple(configs), len(configs) - 1, 1
-    raise HorizonExceeded(f"no lasso within {limit} steps")
+    raise HorizonExceeded(f"no lasso within {horizon} steps")
 
 
 def _outcome(run, *args, **kwargs):
@@ -306,12 +302,14 @@ def _check_against_reference(a, d, timing, rng):
             == _outcome(reference_async_run, a, d, timing, horizon=horizon))
     if want[0] is HorizonExceeded or want[0] is not timing.edge_order:
         return want
-    # the lasso closes at step prefix + period: one less is past the cap
+    # the lasso closes at step prefix + period: one less is past the
+    # horizon
     closes = want[2] + want[3]
-    cut = _outcome(async_run, a, d, timing, cap=closes - 1)
+    cut = _outcome(async_run, a, d, timing, horizon=closes - 1)
     assert cut[0] is HorizonExceeded
-    assert cut == _outcome(reference_async_run, a, d, timing, cap=closes - 1)
-    assert _outcome(async_run, a, d, timing, cap=closes) == want
+    assert cut == _outcome(reference_async_run, a, d, timing,
+                           horizon=closes - 1)
+    assert _outcome(async_run, a, d, timing, horizon=closes) == want
     return want
 
 
@@ -417,6 +415,24 @@ def test_timed_run_decodes_columns_and_configs_alike():
                                              for c in run.configs}
         assert timed_accepted_nodes(a, d, timing) == frozenset(
             v for v in d.nodes() if run.visited_states(v) & a.accepting)
+
+
+def test_the_timed_lasso_must_close_within_the_horizon():
+    a, d = gens.oscillator(), dipath(3).digraph
+    timing = synchronous_timing(d)
+    got = async_run(a, d, timing)
+    assert isinstance(got, automata.RunResult)
+    closes = got.prefix + got.period
+    within = async_run(a, d, timing, horizon=closes)
+    assert ((within.ids, within.prefix, within.period)
+            == (got.ids, got.prefix, got.period))
+    with pytest.raises(HorizonExceeded, match=f"within {closes - 1} steps"):
+        async_run(a, d, timing, horizon=closes - 1)
+    # state_at wraps around the period, as the synchronous run does
+    sync = automata.sync_run(a, d)
+    for t in range(closes + 3 * got.period):
+        assert ([got.state_at(t, v) for v in d.nodes()]
+                == [sync.state_at(t, v) for v in d.nodes()])
 
 
 @pytest.mark.parametrize("edge", [(1, -1, 1), (2, 0, 1), (0, 0, 1),

@@ -92,15 +92,19 @@ def test_determinism():
 
 
 def test_lasso_soundness():
-    a = zoo.reachability_automaton()
-    d = make(1, 1, ["1", "0", "0"], [(1, 0, 1), (1, 1, 2), (1, 2, 1)])
-    run = sync_run(a, d)
-    long = sync_run(a, d, horizon=run.prefix + 3 * run.period + 2)
-    for t in range(run.prefix + run.period, len(long.configs)):
-        assert long.configs[t] == long.configs[t - run.period]
-    for t in range(len(long.configs)):
-        assert long.configs[t] == tuple(run.state_at(t, v)
-                                        for v in d.nodes())
+    # step the automaton itself 3 periods past the lasso: state_at, which
+    # wraps around the period, must read the same configurations
+    for a, d in ((zoo.reachability_automaton(),
+                  make(1, 1, ["1", "0", "0"],
+                       [(1, 0, 1), (1, 1, 2), (1, 2, 1)])),
+                 (gens.oscillator(), dipath(3).digraph)):
+        run = sync_run(a, d)
+        conf = run.configs[0]
+        for t in range(1, run.prefix + 4 * run.period):
+            conf = tuple(a.step(conf[v], (frozenset(map(
+                conf.__getitem__, d.in_neighbors(1, v))),))
+                for v in d.nodes())
+            assert conf == tuple(run.state_at(t, v) for v in d.nodes())
 
 
 def test_classify_examples():
@@ -533,8 +537,8 @@ def test_at_the_cap_the_enumeration_starts(n, rels):
 # frozenset neighbourhoods read straight off the edge set, the same lasso
 # rule, and the automaton's delta called without any memo.
 
-def reference_run(d, initial, next_state, horizon="auto",
-                  cap=automata.DEFAULT_HORIZON_CAP):
+def reference_run(d, initial, next_state,
+                  horizon=automata.DEFAULT_HORIZON_CAP):
     def nvec(conf, v):
         return tuple(frozenset(conf[s] for (r, s, t) in d.edges
                                if r == i and t == v)
@@ -543,16 +547,12 @@ def reference_run(d, initial, next_state, horizon="auto",
     conf = tuple(initial)
     seen = {conf: 0}
     configs = [conf]
-    limit = cap if horizon == "auto" else min(horizon, cap)
-    for t in range(1, limit + 1):
+    for t in range(1, horizon + 1):
         conf = tuple(next_state(conf, v, nvec(conf, v)) for v in d.nodes())
-        if horizon == "auto":
-            if conf in seen:
-                return tuple(configs), seen[conf], t - seen[conf]
-            seen[conf] = t
+        if conf in seen:
+            return tuple(configs), seen[conf], t - seen[conf]
+        seen[conf] = t
         configs.append(conf)
-        if horizon != "auto" and t == limit:
-            return tuple(configs), t, 1
     raise HorizonExceeded
 
 
@@ -590,6 +590,15 @@ def _as_tuple(run):
     return run.configs, run.prefix, run.period
 
 
+def _run_outcome(run, *args, **kwargs):
+    """A run's configs, prefix and period, or ``HorizonExceeded``."""
+    try:
+        out = run(*args, **kwargs)
+    except HorizonExceeded:
+        return HorizonExceeded
+    return out if isinstance(out, tuple) else _as_tuple(out)
+
+
 def _sync_case(a, d):
     return (a, sync_run, d, [a.init[x] for x in d.labels],
             lambda conf, v, nvec: a.delta(conf[v], nvec))
@@ -615,27 +624,17 @@ def test_interned_runs_match_reference_loop(rels, bits):
                 want = reference_run(d, initial, next_state)
                 assert _as_tuple(run(a, d)) == want
                 horizon = rng.randint(1, 8)
-                assert (_as_tuple(run(a, d, horizon=horizon))
-                        == reference_run(d, initial, next_state, horizon))
+                assert (_run_outcome(run, a, d, horizon=horizon)
+                        == _run_outcome(reference_run, d, initial,
+                                        next_state, horizon))
                 # the lasso closes at round prefix + period: one less is
-                # past the cap, exactly that many is within it
+                # past the horizon, exactly that many is within it
                 closes = want[1] + want[2]
                 with pytest.raises(HorizonExceeded):
-                    run(a, d, cap=closes - 1)
-                assert _as_tuple(run(a, d, cap=closes)) == want
+                    run(a, d, horizon=closes - 1)
+                assert _as_tuple(run(a, d, horizon=closes)) == want
                 with pytest.raises(HorizonExceeded):
                     run(a, d, horizon=0)
-
-
-def _oscillator():
-    """A source flips between a and b; every other node copies the state
-    it receives, so a wave of changes runs down a dipath forever."""
-    def delta(q, nvec):
-        if not nvec[0]:
-            return "b" if q == "a" else "a"
-        return min(nvec[0])
-    return DistributedAutomaton(states=("a", "b"), rels=1, init={"": "a"},
-                                accepting=frozenset({"b"}), delta=delta)
 
 
 def _two_relation_case():
@@ -647,7 +646,7 @@ def _two_relation_case():
 
 
 _LOOP_CASES = {
-    "period-2-oscillator": lambda: _sync_case(_oscillator(),
+    "period-2-oscillator": lambda: _sync_case(gens.oscillator(),
                                               dipath(6).digraph),
     "settles-before-the-horizon": lambda: _sync_case(
         zoo.reachability_automaton(),
@@ -670,12 +669,10 @@ def test_change_driven_loop_matches_reference_loop(case):
     assert _as_tuple(got) == want
     closes = want[1] + want[2]
     with pytest.raises(HorizonExceeded):
-        run(a, d, cap=closes - 1)
-    # a bounded window past the lasso: from the settling round on no node
-    # is left to recompute
-    horizon = closes + 3
-    assert (_as_tuple(run(a, d, horizon=horizon))
-            == reference_run(d, initial, next_state, horizon))
+        run(a, d, horizon=closes - 1)
+    # a horizon past the lasso still ends at the lasso
+    assert (_as_tuple(run(a, d, horizon=closes + 3))
+            == reference_run(d, initial, next_state, closes + 3) == want)
     # the result decodes its interned configurations on demand
     decoded = tuple(tuple(got.names[i] for i in c) for c in got.ids)
     assert got.configs == decoded == want[0]
@@ -687,14 +684,28 @@ def test_change_driven_loop_matches_reference_loop(case):
             assert got.state_at(t, v) == decoded[u][v]
 
 
+@pytest.mark.parametrize("case", ["period-2-oscillator", "forgetful-wave"])
+def test_the_lasso_must_close_within_the_horizon(case):
+    a, run, d, _, _ = _LOOP_CASES[case]()
+    got = run(a, d)
+    closes = got.prefix + got.period
+    within = run(a, d, horizon=closes)
+    assert ((within.ids, within.prefix, within.period)
+            == (got.ids, got.prefix, got.period))
+    with pytest.raises(HorizonExceeded, match=f"within {closes - 1} steps"):
+        run(a, d, horizon=closes - 1)
+
+
 def test_oscillator_and_settled_runs_have_the_expected_lassos():
-    assert _as_tuple(sync_run(_oscillator(), dipath(3).digraph))[1:] == (2, 2)
+    run = sync_run(gens.oscillator(), dipath(3).digraph)
+    assert (run.prefix, run.period) == (2, 2)
     d = dipath(5, labels=["1", "0", "0", "0", "0"]).digraph
     run = sync_run(zoo.reachability_automaton(), d)
-    assert run.period == 1 and run.prefix < 8
+    assert (run.prefix, run.period) == (5, 1)
+    # a horizon past the lasso ends at the same lasso
     bounded = sync_run(zoo.reachability_automaton(), d, horizon=8)
-    assert (bounded.prefix, bounded.period) == (8, 1)
-    assert bounded.configs[run.prefix:] == (run.configs[-1],) * (9 - run.prefix)
+    assert (bounded.prefix, bounded.period) == (5, 1)
+    assert bounded.configs == run.configs
 
 
 def test_unmatched_transition_names_the_lowest_failing_node():

@@ -76,6 +76,42 @@ def test_run_past_its_horizon_reports_limit_exceeded(
     assert out["details"]["message"].startswith("HorizonExceeded: ")
 
 
+def _oscillator_rules() -> list:
+    """``gens.oscillator`` as rule rows: with nothing received a node
+    flips between a and b, else it copies a received state."""
+    return [row for q, flip in (("a", "b"), ("b", "a")) for row in (
+        {"from": q, "guards": [{"rel": 1, "op": "eq", "set": []}],
+         "to": flip},
+        {"from": q, "guards": [{"rel": 1, "op": "supseteq", "set": ["a"]}],
+         "to": "a"},
+        {"from": q, "guards": [], "to": "b"})]
+
+
+@pytest.mark.parametrize("horizon,verdict", [
+    ("3", "limit-exceeded"), ("4", "ran"), (None, "ran"),
+    ("auto", "input-error"), ("4.0", "input-error")])
+def test_run_ends_in_its_lasso_or_past_the_horizon(capsys, tmp_path,
+                                                   horizon, verdict):
+    # the oscillator's lasso on a 3-node dipath closes at round 2 + 2
+    files = {"osc": {"states": ["a", "b"], "relations": 1,
+                     "init": {"": "a"}, "accepting": ["b"],
+                     "rules": _oscillator_rules()},
+             "path": graphs.to_json_dict(graphs.dipath(3).digraph)}
+    argv = ["run", "@osc", "@path"]
+    if horizon is not None:
+        argv += ["--horizon", horizon]
+    code, out = run_cli(capsys, *_write_files(str(tmp_path), files, argv))
+    assert out["verdict"] == verdict and code == (verdict != "ran")
+    if verdict == "ran":
+        assert (out["details"]["prefix"], out["details"]["period"]) == (2, 2)
+        assert out["details"]["configurations"] == [
+            list(c) for c in automata.sync_run(
+                gens.oscillator(), graphs.dipath(3).digraph).configs]
+    elif verdict == "limit-exceeded":
+        assert out["details"]["message"] == (
+            "HorizonExceeded: no lasso within 3 steps")
+
+
 def test_exit_codes(capsys, fig_automaton_file, tmp_path):
     lonely = tmp_path / "lone.json"
     pd = graphs.make(1, 1, ["0"], [], point=0)
@@ -923,6 +959,13 @@ def test_every_cap_constant_is_documented():
                 if inspect.isfunction(f):
                     params = set(inspect.signature(f).parameters)
                     assert not params & knobs, (module.__name__, name)
+    # one round bound: the lasso must close within ``horizon`` rounds
+    from disto import asyncrun
+    for run in (automata.sync_run, automata.forgetful_run,
+                asyncrun.async_run):
+        params = inspect.signature(run).parameters
+        assert "cap" not in params
+        assert params["horizon"].default == automata.DEFAULT_HORIZON_CAP
 
 
 def test_every_annotation_resolves():
@@ -944,6 +987,21 @@ def test_every_annotation_resolves():
 
 # ---------------------------------------------------------------------------
 # One parser per process
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    # a report of several MB, read 200 bytes at a time: the write fails
+    # with a broken pipe once the reader has closed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "disto.cli", "gen", "dipath", "--n", "50000",
+         "--bits", "1"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(disto.__file__))))
+    assert len(proc.stdout.read(200)) == 200
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
 
 def test_the_parser_is_built_once_and_not_at_import():
     assert cli.build_parser() is cli.build_parser()

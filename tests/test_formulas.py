@@ -166,6 +166,22 @@ def test_mu_forward_modality_rejected():
         MuSystem(0, ("X",), (Dia(1, (In("X"),)),))
 
 
+@pytest.mark.parametrize("bad", [In("P2"), Not(In("X")), Dia(1, (Top(),))])
+def test_a_shared_subtree_with_a_bad_atom_is_refused(bad):
+    # one subtree object in every body, and twice within one body: a
+    # node is walked once per validation, but its verdict is not skipped
+    shared = BDia(1, (fm.Or((In("X"), bad)),))
+    for bodies in ((shared, shared), (fm.Or((shared, shared)), Top()),
+                   (Top(), fm.And((shared, In("Y"))))):
+        with pytest.raises(KernelViolation):
+            MuSystem(1, ("X", "Y"), bodies)
+    # a subtree accepted under 2 bits is checked afresh under 1
+    two_bits = BDia(1, (In("P2"),))
+    MuSystem(2, ("X",), (two_bits,))
+    with pytest.raises(KernelViolation):
+        MuSystem(1, ("X",), (two_bits,))
+
+
 def test_operator_monotone(mu_corpus):
     rng = random.Random(17)
     for sys_ in mu_corpus[:8]:
