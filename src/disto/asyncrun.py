@@ -160,8 +160,9 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
     """Timed run per the three-case inductive definition: an inactive node
     keeps its state, an active one applies delta to the incoming buffer
     heads; each buffer pushes the source's new state and pops when its edge
-    is active.  The all-active tail is explored up to lasso closure, which
-    must come within ``horizon`` steps, or ``HorizonExceeded`` is raised.
+    is active.  The all-active tail, from step ``len(timing.prefix)`` on,
+    is explored up to lasso closure, which must come within ``horizon``
+    steps, or ``HorizonExceeded`` is raised.
 
     A buffer's last entry is always its source's current state and a pop
     never removes it, so the buffer is a suffix of the source's history
@@ -193,7 +194,12 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
     head = [0] * len(order)
     head_bit = [bits[state[s]][1] for s in src]  # slot-1 bit of each head
     ids, heads = [tuple(state)], [tuple(head)]
-    seen: dict = {}
+
+    def lasso(conf):  # a configuration: node states and buffer contents
+        return conf, tuple(tuple(history[s][h:]) for s, h in zip(src, head))
+
+    # the tail starts at step len(steps): its configuration may recur
+    seen = {} if steps else {lasso(ids[0]): 0}
     all_nodes, all_edges = d.nodes(), range(len(order))
     for t in range(1, horizon + 1):
         if t <= len(steps):
@@ -223,10 +229,8 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
                 head_bit[e] = bits[trace[h]][1]
                 stale[dst[e]] = True
         conf = tuple(state)
-        if t > len(steps):
-            lasso = (conf, tuple(tuple(history[s][h:])
-                                 for s, h in zip(src, head)))
-            first = seen.setdefault(lasso, t)
+        if t >= len(steps):
+            first = seen.setdefault(lasso(conf), t)
             if first != t:
                 break
         ids.append(conf)
@@ -265,15 +269,12 @@ def falsify_consistency(a: DistributedAutomaton, d: Digraph, samples: int,
     consistent so far; it is not a proof of asynchrony."""
     sync = synchronous_timing(d)
     baseline = timed_accepted_nodes(a, d, sync)
-    previous = [(sync, baseline)]
+    # every earlier sample agreed with the baseline, or we returned
     for k in range(samples):
         timing = sample_timing(d, prefix_len, lossless, seed + k)
-        verdict = timed_accepted_nodes(a, d, timing)
-        for other_timing, other_verdict in previous:
-            diff = verdict ^ other_verdict
-            if diff:
-                return ConsistencyCounterexample(other_timing, timing, min(diff))
-        previous.append((timing, verdict))
+        diff = timed_accepted_nodes(a, d, timing) ^ baseline
+        if diff:
+            return ConsistencyCounterexample(sync, timing, min(diff))
     return None
 
 

@@ -106,20 +106,16 @@ class DistributedAutomaton:
     init: dict[str, str]          # label bitstring -> state
     accepting: frozenset[str]
     delta: Callable[[str, NVec], str]
-    known_monovisioned: bool = field(default=False, compare=False)
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         _declare(self)
 
     def step(self, q: str, nvec: NVec) -> str:
-        key = (q, nvec)
-        out = self._memo.get(key)
-        if out is None:
-            out = self.delta(q, nvec)
-            if out not in self._declared:
-                raise UnmatchedTransition(f"delta produced unknown state {out!r}")
-            self._memo[key] = out
+        """``delta(q, nvec)``, checked to be a declared state.  Runs memoise
+        it on their interned keys (``_interned``), so no memo sits here."""
+        out = self.delta(q, nvec)
+        if out not in self._declared:
+            raise UnmatchedTransition(f"delta produced unknown state {out!r}")
         return out
 
     def initial_state(self, label: str) -> str:
@@ -389,7 +385,7 @@ def classify(a: DistributedAutomaton) -> AutomatonClass:
     quasi = not _has_nontrivial_cycle(succ)
     local = quasi and not any(q in succ[q] and succ[q] != {q}
                               for q in a.states)
-    mono = a.known_monovisioned or _check_monovisioned(a)
+    mono = _check_monovisioned(a)
     return AutomatonClass(is_local=local, is_quasi_acyclic=quasi,
                           is_monovisioned=mono)
 
@@ -419,8 +415,7 @@ def monovisioned_transform(a: DistributedAutomaton,
         return a.step(q, nvec)
 
     return DistributedAutomaton(states=states, rels=1, init=dict(a.init),
-                                accepting=a.accepting, delta=delta,
-                                known_monovisioned=True)
+                                accepting=a.accepting, delta=delta)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .automata import (DistributedAutomaton, _has_nontrivial_cycle,
                        _infer_bits, state_diagram)
 from .formulas import (And, BBox, BDia, Bot, In, MuSystem, Not, Or, Top,
                        _pair_holds, flatten_mu)
-from .graphs import LimitExceeded, _bitstrings, _cached, subsets
+from .graphs import LimitExceeded, _bitstrings, subsets
 
 MAX_COMPILE_PROPS = 10
 
@@ -97,14 +97,11 @@ def compute_traces(a: DistributedAutomaton,
     if succ is None:
         succ = _require_quasi_acyclic(a)
     out: set[tuple[str, ...]] = set()
-
-    def extend(trace: tuple[str, ...]):
+    stack = [(q,) for q in (a.states if starts is None else starts)]
+    while stack:
+        trace = stack.pop()
         out.add(trace)
-        for t in succ[trace[-1]]:
-            extend(trace + (t,))
-
-    for q in (a.states if starts is None else starts):
-        extend((q,))
+        stack.extend(trace + (t,) for t in succ[trace[-1]])
     return frozenset(out)
 
 
@@ -112,25 +109,19 @@ def compute_traces(a: DistributedAutomaton,
 class EnablesRelation:
     """The least relation over (sets of traces) x traces closed under the
     base rule (singleton histories and one transition) and the step rule
-    driven by the one-round history evolution H ~> H'."""
+    driven by the one-round history evolution H ~> H'.
 
-    pairs: frozenset  # of (frozenset of traces, trace)
+    ``enablers`` maps each trace to its enabling histories, each a sorted
+    tuple of traces, ordered by size, then by members."""
+
+    enablers: dict
     traces: Traces
 
     def enablers_of(self, trace: tuple[str, ...]) -> tuple:
-        return self._enablers.get(trace, ())
-
-    @_cached
-    def _enablers(self) -> dict:
-        """trace -> its enabling histories, by size, then sorted members."""
-        by_trace: dict = {}
-        for h, t in self.pairs:
-            by_trace.setdefault(t, []).append(h)
-        return {t: tuple(sorted(hs, key=lambda h: (len(h), sorted(h))))
-                for t, hs in by_trace.items()}
+        return self.enablers.get(trace, ())
 
     def holds(self, history: frozenset, trace: tuple[str, ...]) -> bool:
-        return (history, trace) in self.pairs
+        return tuple(sorted(history)) in self.enablers_of(trace)
 
 
 def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
@@ -149,8 +140,8 @@ def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
     traces = compute_traces(a, start_states, succ)
 
     # bitmask encoding of traces and histories
-    index = {t: i for i, t in enumerate(sorted(traces))}
     by_index = sorted(traces)
+    index = {t: i for i, t in enumerate(by_index)}
     ext_unions = []  # per trace, the nonempty unions of its extensions
     for t in by_index:
         mask = 1 << index[t]
@@ -219,10 +210,15 @@ def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
                 bucket.add(out)
             if len(bucket) != before:
                 work.append(h2)
-    pairs = frozenset(
-        (frozenset(by_index[i] for i in _bits_of(h)), by_index[ti])
-        for h, ts in enabled.items() for ti in ts)
-    return EnablesRelation(pairs=pairs, traces=traces)
+    # by_index is sorted, so each history's traces come out sorted
+    enablers: dict = {}
+    for h, ts in enabled.items():
+        history = tuple(by_index[i] for i in _bits_of(h))
+        for ti in ts:
+            enablers.setdefault(by_index[ti], []).append(history)
+    return EnablesRelation(
+        {t: tuple(sorted(hs, key=lambda h: (len(h), h)))
+         for t, hs in enablers.items()}, traces)
 
 
 def _bits_of(mask: int) -> list[int]:
@@ -284,9 +280,8 @@ def _init_body(a: DistributedAutomaton, state: str, bits: int):
 def _transition_body(trace, enables: EnablesRelation, atoms, seen):
     options = []
     for history in enables.enablers_of(trace):
-        ordered = sorted(history)
-        only_those = BBox(1, (_or(tuple(atoms[s] for s in ordered)),))
-        options.append(_and(tuple(seen[s] for s in ordered) + (only_those,)))
+        only_those = BBox(1, (_or(tuple(atoms[s] for s in history)),))
+        options.append(_and(tuple(seen[s] for s in history) + (only_those,)))
     return _and((atoms[trace[:1]], _or(tuple(options))))
 
 

@@ -256,7 +256,8 @@ def reference_async_run(a, d, timing, horizon=DEFAULT_HORIZON_CAP):
     nodes = tuple(a.initial_state(d.label(v)) for v in d.nodes())
     buffers = tuple((a.initial_state(d.label(src)),) for (_, src, _) in order)
     configs = [AsyncConfiguration(nodes, buffers, 0)]
-    seen = {}
+    # the all-active tail starts at step len(prefix), step 0 included
+    seen = {} if timing.prefix else {(nodes, buffers): 0}
     for t in range(1, horizon + 1):
         new_nodes = []
         for v in d.nodes():
@@ -274,7 +275,7 @@ def reference_async_run(a, d, timing, horizon=DEFAULT_HORIZON_CAP):
             new_buffers.append(buf)
         nodes, buffers = new_nodes, tuple(new_buffers)
         configs.append(AsyncConfiguration(nodes, buffers, t))
-        if t > len(timing.prefix):
+        if t >= len(timing.prefix):
             key = (nodes, buffers)
             if key in seen:
                 first = seen[key]
@@ -396,11 +397,30 @@ def test_timed_and_synchronous_runs_share_one_memo():
         # a synchronous timing meets exactly the keys of the synchronous run
         timed = async_run(a, d, synchronous_timing(d))
         assert a._round_ids[1] is table and len(table.memo) == memo_size
-        # (the timed lasso check starts at step 1, so it may close later)
-        assert tuple(c.node_state for c in timed.configs[:len(sync.configs)]
-                     ) == sync.configs
+        assert ((timed.ids, timed.prefix, timed.period)
+                == (sync.ids, sync.prefix, sync.period))
         _check_against_reference(a, d, _random_timing(rng, d, False), rng)
         assert automata.sync_run(a, d).configs == sync.configs
+
+
+def test_the_synchronous_timing_gives_the_synchronous_run():
+    # a self-loop whose configuration at step 0 recurs at step 1: the
+    # timed lasso closes where the synchronous one does, at prefix 0
+    loop = Digraph(1, 1, ("0",), frozenset({(1, 0, 0)}))
+    a = zoo.reachability_automaton()
+    assert (async_run(a, loop, synchronous_timing(loop)).prefix,
+            automata.sync_run(a, loop).prefix) == (0, 0)
+    rng = random.Random(12)
+    cases = [(a, loop)] + [(a, random_small_digraph(rng, 1))
+                           for _ in range(20)]
+    for _ in range(20):
+        b = random_timed_automaton(rng, 1, partial=False)
+        cases += [(b, random_small_digraph(rng, 1)) for _ in range(5)]
+    for b, d in cases:
+        timed = async_run(b, d, synchronous_timing(d))
+        sync = automata.sync_run(b, d)
+        assert ((timed.ids, timed.prefix, timed.period)
+                == (sync.ids, sync.prefix, sync.period))
 
 
 def test_timed_run_decodes_columns_and_configs_alike():

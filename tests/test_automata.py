@@ -413,7 +413,7 @@ def reference_classify(a):
     quasi = not automata._has_nontrivial_cycle(succ)
     local = quasi and not any(q in succ[q] and succ[q] != {q}
                               for q in a.states)
-    mono = a.known_monovisioned or reference_check_monovisioned(a)
+    mono = reference_check_monovisioned(a)
     return AutomatonClass(is_local=local, is_quasi_acyclic=quasi,
                           is_monovisioned=mono)
 
@@ -451,9 +451,7 @@ def _distributed_corpus(mu_corpus):
     out += [zoo.reachability_automaton(), zoo.synchrony_detector()]
     out += [compile_mu_to_aqda(s) for s in mu_corpus]
     # monovisioned by construction, for the check to find
-    return out + [dataclasses.replace(monovisioned_transform(a), _memo={},
-                                      known_monovisioned=False)
-                  for a in out[-6:]]
+    return out + [monovisioned_transform(a) for a in out[-6:]]
 
 
 def _alternating_corpus():

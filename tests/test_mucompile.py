@@ -135,7 +135,7 @@ def test_enables_fixpoint_unique_and_monotone():
     a = chain_two_states()
     r1 = compute_enables(a)
     r2 = compute_enables(a)
-    assert r1.pairs == r2.pairs
+    assert r1 == r2
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +221,20 @@ def test_decompile_matches_the_reference(mu_corpus):
         assert fm.print_mu(got) == fm.print_mu(want)
 
 
-def test_enablers_index_matches_a_plain_scan(mu_corpus):
+def test_enablers_are_ordered_by_size_then_members(mu_corpus):
     automata_ = [zoo.reachability_automaton()]
     automata_ += [compile_mu_to_aqda(sys_) for sys_ in mu_corpus[:10]]
     for a in automata_:
         enables = compute_enables(a)
-        for trace in sorted(enables.traces) + [("nowhere",)]:
-            scan = tuple(sorted((h for (h, t) in enables.pairs if t == trace),
-                                key=lambda h: (len(h), sorted(h))))
-            assert enables.enablers_of(trace) == scan
+        assert set(enables.enablers) <= enables.traces
+        for trace in sorted(enables.traces):
+            histories = enables.enablers_of(trace)
+            assert len(set(histories)) == len(histories)
+            assert all(list(h) == sorted(set(h)) for h in histories)
+            assert list(histories) == sorted(histories,
+                                             key=lambda h: (len(h), h))
+            assert all(enables.holds(frozenset(h), trace) for h in histories)
+        assert enables.enablers_of(("nowhere",)) == ()
 
 
 def test_decompile_shares_each_trace_atom():
