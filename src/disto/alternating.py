@@ -16,7 +16,7 @@ does the bounded emptiness decider for the nondeterministic subclass.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import formulas as fm
@@ -75,7 +75,6 @@ class AltAutomaton:
     delta: Callable[[object, NVec], frozenset]
     accepting: AcceptingSets
     succ_map: dict | None = None   # state -> frozenset of possible targets
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         kinds = set(self.kind.values())
@@ -89,21 +88,19 @@ class AltAutomaton:
         return frozenset(q for q in self.states if self.kind[q] == "P")
 
     def step(self, q, nvec: NVec) -> frozenset:
-        key = (q, nvec)
-        out = self._memo.get(key)
-        if out is None:
-            try:
-                out = frozenset(self.delta(q, nvec))
-            except UnmatchedTransition as e:
-                raise AltError(str(e)) from None
-            if not out:
-                raise AltError(f"empty transition value at state {q!r}")
-            extra = out - self._declared
-            if extra:
-                raise AltError(f"transition from state {q!r} on {nvec} "
-                               f"targets undeclared states "
-                               f"{sorted(extra, key=repr)}")
-            self._memo[key] = out
+        """``delta(q, nvec)``, checked: a nonempty set of declared states.
+        The game memoises it on its interned keys, so no memo sits here."""
+        try:
+            out = frozenset(self.delta(q, nvec))
+        except UnmatchedTransition as e:
+            raise AltError(str(e)) from None
+        if not out:
+            raise AltError(f"empty transition value at state {q!r}")
+        extra = out - self._declared
+        if extra:
+            raise AltError(f"transition from state {q!r} on {nvec} "
+                           f"targets undeclared states "
+                           f"{sorted(extra, key=repr)}")
         return out
 
     def successors_superset(self) -> dict:
@@ -894,6 +891,8 @@ def nldag_emptiness(a: AltAutomaton, mode: str = "capped",
     refuses a node count (``OracleBoundError``), the answer is empty up to
     the largest node count searched in full.
     """
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     if not is_nondeterministic(a):
         raise AltError("emptiness search needs a nondeterministic automaton")
     bound = len(a.states) ** (length(a) + 1)

@@ -267,6 +267,8 @@ def falsify_consistency(a: DistributedAutomaton, d: Digraph, samples: int,
     """Run the synchronous timing plus sampled timings and report the first
     node whose verdict differs between two timings.  Returning None means
     consistent so far; it is not a proof of asynchrony."""
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     sync = synchronous_timing(d)
     baseline = timed_accepted_nodes(a, d, sync)
     # every earlier sample agreed with the baseline, or we returned

@@ -141,6 +141,8 @@ def bounded_ditree_search(a: DistributedAutomaton | ForgetfulAutomaton,
     """First accepted labeled pointed ditree with at most max_nodes nodes,
     or None.  A None result is NOT an emptiness proof (the general problem
     is undecidable); it only bounds witness size from below."""
+    if max_nodes < 0:
+        raise ValueError("max_nodes must be >= 0")
     if a.rels != 1:
         raise ValueError("ditree search supports 1-relational automata")
     if isinstance(a, ForgetfulAutomaton):

@@ -210,13 +210,8 @@ def ts_recognize(ts: TilingSystem, g: Digraph) -> BorderedRun | None:
         ``choice[k]`` is the index of the next state to try at position k."""
         choice = [0] * len(positions)
         k = 0
-        while k >= 0:
-            if k == len(positions):
-                if all(block_ok(i, j) for i in range(h + 1)
-                       for j in range(w + 1)):
-                    return True
-                k -= 1
-                continue
+        # a block is checked when its last interior cell is set
+        while 0 <= k < len(positions):
             (i, j) = positions[k]
             c = choice[k]
             if c == len(ts.states):
@@ -230,7 +225,7 @@ def ts_recognize(ts: TilingSystem, g: Digraph) -> BorderedRun | None:
             if all(block_ok(bi, bj)
                    for bi in (i - 1, i) for bj in (j - 1, j)):
                 k += 1
-        return False
+        return k == len(positions)
 
     if search():
         run = _bordered(labels, dict(assignment), h, w)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -381,13 +382,18 @@ def test_intersection_language_and_class_guard():
         intersect(zoo.non_three_col_aldag(), a)
 
 
+def one_bit_three_col() -> AltAutomaton:
+    """``zoo.three_col_aldag`` over a 1-bit alphabet: same behaviour for
+    both labels."""
+    a3 = zoo.three_col_aldag()
+    return AltAutomaton(states=a3.states, kind=dict(a3.kind), rels=1,
+                        init={"0": "ini", "1": "ini"}, delta=a3.delta,
+                        accepting=a3.accepting, succ_map=a3.succ_map)
+
+
 def test_projection_language():
     # over 1-bit labels, erase the bit: image of L(a) under label erasure
-    a3 = zoo.three_col_aldag()
-    # relabel three_col to 1-bit alphabet: same behavior for both labels
-    a = AltAutomaton(states=a3.states, kind=dict(a3.kind), rels=1,
-                     init={"0": "ini", "1": "ini"}, delta=a3.delta,
-                     accepting=a3.accepting, succ_map=a3.succ_map)
+    a = one_bit_three_col()
     p = project(a, {"0": "", "1": ""})
     validate_alt(p)
     for d in sweep(2, bits=0):
@@ -416,6 +422,34 @@ def test_normalize_profile_preserves_language():
         for d in sweep(2):
             assert (decide_acceptance_alt(a, d)
                     == decide_acceptance_alt(norm, d))
+
+
+def _automata_with_supplied_successor_maps():
+    rng = random.Random("supplied-successor-maps")
+    out = []
+    for _ in range(16):
+        a, b = gens.random_nldag(rng), gens.random_nldag(rng)
+        out += [complement(a), union(a, b), intersect(a, b),
+                alt.intersect_demorgan(a, b), normalize_profile(complement(a)),
+                alt.prune_reachable(a)]
+    out.append(project(one_bit_three_col(), {"0": "", "1": ""}))
+    for rels in (1, 2):
+        out += [alt._trivial_automaton(True, 1, rels),
+                alt._local_check_automaton(lambda lab: lab == "1", 1, rels),
+                alt._edge_check_automaton(0, 1, rels, 2, rels),
+                alt._exactly_one_automaton(0, 1, rels)]
+    return out + [zoo.three_col_aldag(), zoo.non_three_col_aldag(),
+                  zoo.concentric_circles_aldag()]
+
+
+def test_every_supplied_successor_map_covers_the_stepped_targets():
+    # the level check trusts a supplied map: a missed target would let a
+    # configuration that mixes E and U states reach the game
+    for a in _automata_with_supplied_successor_maps():
+        assert a.succ_map is not None
+        stepped = dataclasses.replace(a, succ_map=None).successors_superset()
+        for q in a.states:
+            assert stepped[q] <= a.succ_map[q], q
 
 
 def test_apply_closure_dispatch():

@@ -463,7 +463,7 @@ def _alternating_corpus():
     out += [gens.random_nldag(rng) for _ in range(20)]
     out += [zoo.three_col_aldag(), zoo.non_three_col_aldag(),
             zoo.concentric_circles_aldag()]
-    return [dataclasses.replace(a, succ_map=None, _memo={}) for a in out]
+    return [dataclasses.replace(a, succ_map=None) for a in out]
 
 
 def test_distributed_enumeration_matches_the_reference_loops(mu_corpus):

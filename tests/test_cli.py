@@ -884,6 +884,20 @@ def test_empty_nldag_searches_a_cap_above_the_enumeration_bound(capsys,
     assert graphs.from_json_dict(out["details"]["witness"]).n == 1
 
 
+@pytest.mark.parametrize("argv,bound", [
+    (["falsify-async", "@a", "@g", "--samples", "-3", "--seed", "1"],
+     "samples"),
+    (["empty-nldag", "@alt", "--max-nodes", "-2"], "cap"),
+    (["search-witness", "@a", "--max-nodes", "-2"], "max_nodes"),
+], ids=["falsify-samples", "nldag-cap", "witness-max-nodes"])
+def test_a_negative_search_bound_is_an_input_error(capsys, tmp_path, argv,
+                                                   bound):
+    code, out = run_cli(capsys, *_write_files(str(tmp_path), _verb_files(),
+                                              argv))
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"] == f"ValueError: {bound} must be >= 0"
+
+
 def test_a_directory_as_the_path_is_an_input_error(capsys, tmp_path,
                                                    edge_graph_file):
     for argv in (["alt-accept", str(tmp_path), edge_graph_file],
