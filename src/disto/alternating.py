@@ -416,7 +416,9 @@ def normalize_profile(a: AltAutomaton) -> AltAutomaton:
                 new_succ[c] = frozenset({clone(q, s + 1)})
             else:
                 new_succ[c] = frozenset(entry(t) for t in succ[q])
-    for p in perm:
+    for p in a.states:  # in declared order, not the frozenset's
+        if p not in perm:
+            continue
         states.append(p)
         kind[p] = "P"
         new_succ[p] = frozenset({p})

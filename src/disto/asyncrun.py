@@ -172,6 +172,8 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
     one transition memo.  An active node whose own state and buffer heads
     are unchanged since it last computed keeps its state without a
     lookup: its key, and so its memoised transition, is the same."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     if a.rels != 1:
         raise ValueError("asynchronous semantics is defined over 1 relation")
     if d.rels != 1:

@@ -248,6 +248,8 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
     needs nothing else but a ``__dict__`` for its tables (one per relation
     count), so states may be any hashable values (``formulas.MuEvaluator``
     runs on frozensets)."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     ix = _interned(a, d.rels)
     memo, bits = ix.memo, ix.bits
     slots, stride = d._in_slots, d.rels + 1

@@ -182,6 +182,18 @@ def subsets(items: Iterable) -> Iterator[frozenset]:
             yield frozenset(combo)
 
 
+def subset_names(items: Iterable[str]) -> dict[frozenset, str]:
+    """Every subset of ``items`` in ``subsets`` order, each with its name
+    ``{a,b}`` (members sorted).  A member that is empty or holds a comma
+    would give two subsets one name, so it is refused."""
+    items = tuple(items)
+    for x in items:
+        if not x or "," in x:
+            raise ValueError(f"member {x!r} cannot be named in a subset "
+                             f"(empty, or contains ',')")
+    return {s: "{" + ",".join(sorted(s)) + "}" for s in subsets(items)}
+
+
 def validate(d: Digraph | PointedDigraph) -> str | None:
     """Return None if all invariants hold, else a report naming the first
     violated one."""

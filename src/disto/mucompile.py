@@ -18,7 +18,7 @@ from .automata import (DistributedAutomaton, _has_nontrivial_cycle,
                        _infer_bits, state_diagram)
 from .formulas import (And, BBox, BDia, Bot, In, MuSystem, Not, Or, Top,
                        _pair_holds, flatten_mu)
-from .graphs import LimitExceeded, _bitstrings, subsets
+from .graphs import LimitExceeded, _bitstrings, subset_names, subsets
 
 MAX_COMPILE_PROPS = 10
 
@@ -28,10 +28,6 @@ class ClassError(ValueError):
 
 
 Traces = frozenset  # of trace tuples
-
-
-def _state_name(props: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(props)) + "}"
 
 
 def compile_mu_to_aqda(system: MuSystem) -> DistributedAutomaton:
@@ -47,7 +43,7 @@ def compile_mu_to_aqda(system: MuSystem) -> DistributedAutomaton:
         raise LimitExceeded(
             f"{len(props)} propositions exceed the compile bound of "
             f"{MAX_COMPILE_PROPS} (powerset state space)")
-    names = {s: _state_name(s) for s in subsets(props)}
+    names = subset_names(props)
     by_name = {v: k for k, v in names.items()}
     main = system.variables[0]
 
@@ -242,7 +238,13 @@ def trace_var(trace: tuple[str, ...]) -> str:
 def decompile_qda_to_mu(a: DistributedAutomaton) -> MuSystem:
     """Backward mu-fragment formula equivalent to a quasi-acyclic
     (lossless-asynchronous) automaton: one variable per trace plus a main
-    variable collecting the accepting-ending traces."""
+    variable collecting the accepting-ending traces.  A state name with
+    whitespace, a parenthesis or ``|`` would make a trace variable that
+    does not read back, or two traces one variable, so it is refused."""
+    for q in a.states:
+        if any(c.isspace() or c in "()|" for c in q):
+            raise ValueError(f"state {q!r} cannot be spelled in a trace "
+                             f"variable (whitespace, '(', ')' or '|')")
     enables = compute_enables(a)
     traces = sorted(enables.traces, key=lambda t: (len(t), t))
     bits = _infer_bits(a)

@@ -9,12 +9,13 @@ cell by cell, two cells behind its predecessor.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .automata import (DistributedAutomaton, ForgetfulAutomaton, _names,
                        _positive, check_enum_limit)
-from .graphs import LimitExceeded, PointedDigraph, dipath, subsets
+from .graphs import LimitExceeded, PointedDigraph, dipath, subset_names
 
 TM_WINDOW_LIMIT = 100_000  # max window states tm_to_da builds
 
@@ -84,7 +85,13 @@ class TreeAutomaton:
         return self.run_on(pd) in self.accepting
 
 
-WAIT = "~"
+def _wait_state(states: Sequence[str]) -> str:
+    """The bridges' waiting state: ``~``, lengthened until it is not one
+    of the input's ``states``."""
+    wait = "~"
+    while wait in states:
+        wait += "~"
+    return wait
 
 
 def word_to_dipath(word: Sequence[str]) -> PointedDigraph:
@@ -96,7 +103,8 @@ def word_to_dipath(word: Sequence[str]) -> PointedDigraph:
 def dfa_to_fda(b: Dfa) -> ForgetfulAutomaton:
     """Waiting-phase simulation: each node idles until its predecessor has
     computed the word automaton's state just before its own letter."""
-    states = (WAIT,) + b.states
+    wait = _wait_state(b.states)
+    states = (wait,) + b.states
     dfa_states = set(b.states)
 
     def delta(letter: str, nvec):
@@ -107,10 +115,10 @@ def dfa_to_fda(b: Dfa) -> ForgetfulAutomaton:
             (q,) = received
             if q in dfa_states:
                 return b.delta[(q, letter)]
-        return WAIT
+        return wait
 
     return ForgetfulAutomaton(
-        states=states, rels=1, initial=WAIT, letters=b.letters(),
+        states=states, rels=1, initial=wait, letters=b.letters(),
         delta=delta, accepting=frozenset(b.accepting))
 
 
@@ -122,25 +130,25 @@ def fda_to_dfa(a: ForgetfulAutomaton) -> Dfa:
         raise ValueError("the word bridge needs a 1-relational automaton")
     check_enum_limit(len(a.states), a.rels)
     letters = a.letters
-    sets = list(subsets(sorted(a.states)))
-    name = {s: "{" + ",".join(sorted(s)) + "}" for s in sets}
+    name = subset_names(sorted(a.states))
     delta = {}
-    for s in sets:
+    for s in name:
         for letter in letters:
             if not s:
                 image = {a.step(letter, (frozenset(),))}
             else:
                 image = {a.step(letter, (frozenset({q}),)) for q in s}
             delta[(name[s], letter)] = name[frozenset({a.initial} | image)]
-    accepting = frozenset(name[s] for s in sets if s & a.accepting)
-    return Dfa(states=tuple(name[s] for s in sets), initial=name[frozenset()],
+    accepting = frozenset(name[s] for s in name if s & a.accepting)
+    return Dfa(states=tuple(name.values()), initial=name[frozenset()],
                delta=delta, accepting=accepting)
 
 
 def treeautomaton_to_fda(t: TreeAutomaton) -> ForgetfulAutomaton:
     """Tree-automaton simulation: a node fires once every child slot holds a
     settled singleton (slots i+1..r empty), otherwise keeps waiting."""
-    states = (WAIT,) + t.states
+    wait = _wait_state(t.states)
+    states = (wait,) + t.states
     ta_states = set(t.states)
 
     def delta(letter: str, nvec):
@@ -148,21 +156,21 @@ def treeautomaton_to_fda(t: TreeAutomaton) -> ForgetfulAutomaton:
         for k, received in enumerate(nvec):
             if not received:
                 if any(nvec[j] for j in range(k + 1, len(nvec))):
-                    return WAIT
+                    return wait
                 break
             if len(received) != 1:
-                return WAIT
+                return wait
             (q,) = received
             if q not in ta_states:
-                return WAIT
+                return wait
             children.append(q)
         key = (tuple(children), letter)
         if key not in t.delta:
-            return WAIT
+            return wait
         return t.delta[key]
 
     return ForgetfulAutomaton(
-        states=states, rels=t.arity, initial=WAIT, letters=t.letters(),
+        states=states, rels=t.arity, initial=wait, letters=t.letters(),
         delta=delta, accepting=frozenset(t.accepting))
 
 
@@ -183,10 +191,21 @@ class TuringMachine:
     halt: str
 
     def __post_init__(self):
+        states, tape = set(self.states), set(self.tape)
+        if len(states) != len(self.states) or len(tape) != len(self.tape):
+            raise ValueError("duplicate states or tape symbols")
         if self.initial == self.halt:
             raise ValueError("the initial state must differ from halt")
-        if self.blank not in self.tape:
+        if not {self.initial, self.halt} <= states:
+            raise ValueError("initial or halt state not in the state set")
+        if self.blank not in tape:
             raise ValueError("blank symbol missing from the tape alphabet")
+        for (q, s), (q2, s2, move) in self.delta.items():
+            if not ({q, q2} <= states and {s, s2} <= tape
+                    and move in ("L", "R")):
+                raise ValueError(f"delta row {[q, s, q2, s2, move]} names an "
+                                 f"undeclared state or symbol, or moves "
+                                 f"other than L or R")
 
     def step(self, config):
         """config = (state, head, tape dict); returns the next config or
@@ -238,27 +257,15 @@ def tm_to_da(m: TuringMachine) -> DistributedAutomaton:
     symbol, giving a two-cell head start, and accepts on seeing the halting
     state.
     """
-    W = "."
-    if W in m.tape or W in m.states:
-        raise ValueError("'.' is reserved for the waiting symbol")
     windows = (1 + len(m.states) * len(m.tape) + len(m.tape)) ** 3
     if windows > TM_WINDOW_LIMIT:
         raise LimitExceeded(f"tm_to_da would build {windows} window "
                             f"states; the cap is {TM_WINDOW_LIMIT}")
+    # the waiting value equals no symbol and no (state, symbol) pair, so
+    # no name the machine chooses can make two windows alike
+    W = None
     headed = [(q, s) for q in m.states for s in m.tape]
     cellvals = [W] + headed + list(m.tape)
-
-    def enc(c) -> str:
-        return f"{c[0]}/{c[1]}" if isinstance(c, tuple) else str(c)
-
-    def name(c1, c2, c3) -> str:
-        return f"({enc(c1)},{enc(c2)},{enc(c3)})"
-
-    by_name = {name(a, b, c): (a, b, c)
-               for a in cellvals for b in cellvals for c in cellvals}
-    if len(by_name) != windows:
-        raise ValueError(f"state and tape names give {len(by_name)} distinct "
-                         f"names to {windows} windows")
 
     def is_headed(c) -> bool:
         return isinstance(c, tuple)
@@ -303,24 +310,22 @@ def tm_to_da(m: TuringMachine) -> DistributedAutomaton:
         # cells from index 2 on are untouched after one step
         return m.blank
 
-    def delta(qname, nvec):
-        own = by_name[qname]
+    def delta(own, nvec):
         received = nvec[0]
         if len(received) != 1:
             if not received:
-                nxt = source_next(own)
-                return name(own[1], own[2], nxt)
-            return name(W, W, W)
-        pred = by_name[next(iter(received))]
+                return (own[1], own[2], source_next(own))
+            return (W, W, W)
+        (pred,) = received
         if own[2] == W and pred[1] == W:
-            return name(W, W, W)
-        nxt = ca_rule(*pred)
-        return name(own[1], own[2], nxt)
+            return (W, W, W)
+        return (own[1], own[2], ca_rule(*pred))
 
-    accepting = frozenset(n for n, (_, _, c) in by_name.items()
-                          if is_headed(c) and c[0] == m.halt)
+    states = tuple(itertools.product(cellvals, repeat=3))
+    accepting = frozenset(w for w in states
+                          if is_headed(w[2]) and w[2][0] == m.halt)
     return DistributedAutomaton(
-        states=tuple(by_name), rels=1, init={"": name(W, W, W)},
+        states=states, rels=1, init={"": (W, W, W)},
         accepting=accepting, delta=delta)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .automata import _names
 from .graphs import Digraph
 
 BORDER = "#"
@@ -261,8 +262,11 @@ def ts_to_json_dict(ts: TilingSystem) -> dict:
 
 
 def ts_from_json_dict(obj: dict) -> TilingSystem:
+    bits = obj["bits"]
+    if not (isinstance(bits, int) and bits >= 0):
+        raise ValueError(f"bits must be an integer >= 0, got {bits!r}")
     return TilingSystem(
-        bits=obj["bits"],
-        states=tuple(obj["states"]),
+        bits=bits,
+        states=tuple(_names(obj["states"], "states")),
         tiles=frozenset(tuple(t) for t in obj["tiles"]),
     )

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -422,6 +425,19 @@ def test_normalize_profile_preserves_language():
         for d in sweep(2):
             assert (decide_acceptance_alt(a, d)
                     == decide_acceptance_alt(norm, d))
+
+
+def test_normalize_profile_declares_states_in_the_same_order_every_run():
+    # permanent states follow a.states, not a frozenset's hash order
+    probe = ("from disto import alternating, zoo; print(repr(alternating."
+             "compile_mso_to_aldag(zoo.edgeless_sentence(), 0, 1).states))")
+    src = os.path.dirname(os.path.dirname(alt.__file__))
+    outs = {subprocess.run([sys.executable, "-c", probe], check=True,
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src,
+                                    PYTHONHASHSEED=str(seed))).stdout
+            for seed in range(4)}
+    assert len(outs) == 1
 
 
 def _automata_with_supplied_successor_maps():

@@ -448,6 +448,8 @@ def test_the_timed_lasso_must_close_within_the_horizon():
             == (got.ids, got.prefix, got.period))
     with pytest.raises(HorizonExceeded, match=f"within {closes - 1} steps"):
         async_run(a, d, timing, horizon=closes - 1)
+    with pytest.raises(ValueError, match="^horizon must be >= 0$"):
+        async_run(a, d, timing, horizon=-1)
     # state_at wraps around the period, as the synchronous run does
     sync = automata.sync_run(a, d)
     for t in range(closes + 3 * got.period):

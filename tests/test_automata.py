@@ -692,6 +692,8 @@ def test_the_lasso_must_close_within_the_horizon(case):
             == (got.ids, got.prefix, got.period))
     with pytest.raises(HorizonExceeded, match=f"within {closes - 1} steps"):
         run(a, d, horizon=closes - 1)
+    with pytest.raises(ValueError, match="^horizon must be >= 0$"):
+        run(a, d, horizon=-1)
 
 
 def test_oscillator_and_settled_runs_have_the_expected_lassos():

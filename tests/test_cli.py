@@ -89,7 +89,8 @@ def _oscillator_rules() -> list:
 
 @pytest.mark.parametrize("horizon,verdict", [
     ("3", "limit-exceeded"), ("4", "ran"), (None, "ran"),
-    ("auto", "input-error"), ("4.0", "input-error")])
+    ("auto", "input-error"), ("4.0", "input-error"), ("-1", "input-error"),
+    ("0", "limit-exceeded")])
 def test_run_ends_in_its_lasso_or_past_the_horizon(capsys, tmp_path,
                                                    horizon, verdict):
     # the oscillator's lasso on a 3-node dipath closes at round 2 + 2
@@ -109,7 +110,10 @@ def test_run_ends_in_its_lasso_or_past_the_horizon(capsys, tmp_path,
                 gens.oscillator(), graphs.dipath(3).digraph).configs]
     elif verdict == "limit-exceeded":
         assert out["details"]["message"] == (
-            "HorizonExceeded: no lasso within 3 steps")
+            f"HorizonExceeded: no lasso within {horizon} steps")
+    elif horizon == "-1":
+        assert out["details"]["message"] == (
+            "ValueError: horizon must be >= 0")
 
 
 def test_exit_codes(capsys, fig_automaton_file, tmp_path):
@@ -773,7 +777,7 @@ def _edited(name, path, value):
     (["tm2da", "@tm", "--accept", "@p1"], _edited("tm", ["delta"], 5),
      "TypeError: 'int' object is not iterable"),
     (["tm2da", "@tm", "--accept", "@p1"], _edited("tm", ["tape", 1], "q0/_"),
-     "distinct names to"),
+     "names an undeclared state or symbol"),
     (["fda2dfa", "@fda"], _edited("fda", ["delta"], []),
      "AttributeError: 'list' object has no attribute 'items'"),
     (["ta2fda", "@ta"], _edited("ta", ["delta", 0, 0], 5),
@@ -795,12 +799,48 @@ def _edited(name, path, value):
      "name undeclared states"),
     (["empty-nldag", "@alt", "--max-nodes", "2"], _edited("alt", ["init"], {}),
      "ValueError: automaton has no initialization entries"),
+    (["ts-recognize", "@ts", "@grid"], _edited("ts", ["states"], "AB"),
+     "states must be a list of strings, got 'AB'"),
+    (["ts-recognize", "@ts", "@grid"], _edited("ts", ["bits"], 0.0),
+     "bits must be an integer >= 0, got 0.0"),
+    (["ts-recognize", "@ts", "@grid"], _edited("ts", ["bits"], -1),
+     "bits must be an integer >= 0, got -1"),
+    # {"P1,X1"} and {P1, X1} would be one state: the variable P1,X1 is
+    # empty, but the automaton would accept
+    (["compile-mu", "@mu", "--accept", "@g1"],
+     dict(_verb_files(), mu="(mu ((X1 (in P1)) (P1,X1 (top))))",
+          g1=graphs.to_json_dict(graphs.make(1, 1, ["0"], [], point=0))),
+     "member 'P1,X1' cannot be named"),
+    # {"a,b"} and {a, b} would be one DFA state, accepting 00
+    (["fda2dfa", "@fda"],
+     dict(_verb_files(), fda={"states": ["a", "b", "a,b"], "relations": 1,
+                              "initial": "a", "accepting": ["a,b"],
+                              "delta": {"0": [{"to": "b"}]}}),
+     "member 'a,b' cannot be named"),
+    # T<a b> does not read back as one variable
+    (["decompile-qda", "@a"],
+     dict(_verb_files(), a={"states": ["a b", "c"], "relations": 1,
+                            "init": {"0": "a b"}, "accepting": ["c"],
+                            "rules": [{"from": "a b", "to": "c"},
+                                      {"from": "c", "to": "c"}]}),
+     "state 'a b' cannot be spelled"),
+    # the traces (a, c) and (a|c) would both be T<a|c>
+    (["decompile-qda", "@a"],
+     dict(_verb_files(), a={"states": ["a", "c", "a|c"], "relations": 1,
+                            "init": {"0": "a", "1": "a|c"},
+                            "accepting": ["c"],
+                            "rules": [{"from": "a", "to": "c"},
+                                      {"from": "c", "to": "c"},
+                                      {"from": "a|c", "to": "a|c"}]}),
+     "state 'a|c' cannot be spelled"),
 ], ids=["states-5", "rules-[5]", "guards-x", "nodes-5", "label-5",
         "alt-states-strings", "tiles-5", "tm-delta-5", "tm-window-names",
         "fda-delta-[]",
         "ta-children-5", "mapping-empty-label-5", "mapping-5",
         "alt-target-list", "init-list", "init-undeclared",
-        "accepting-undeclared", "alt-init-empty"])
+        "accepting-undeclared", "alt-init-empty", "ts-states-string",
+        "ts-bits-float", "ts-bits-negative", "mu-variable-comma",
+        "fda-state-comma", "qda-state-space", "qda-state-bar"])
 def test_malformed_files_get_one_input_error(capsys, tmp_path, argv, files,
                                              message):
     code, out = run_cli(capsys, *_write_files(str(tmp_path), files, argv))

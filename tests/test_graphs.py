@@ -285,3 +285,15 @@ def test_subsets_by_size_then_combination_order():
         frozenset(), *map(frozenset, ["a", "b", "c", "ab", "ac", "bc",
                                       "abc"])]
     assert list(graphs.subsets([])) == [frozenset()]
+
+
+def test_subset_names_follow_subsets_order_and_refuse_unreadable_members():
+    names = graphs.subset_names(["b", "a", "c"])
+    assert list(names) == list(graphs.subsets(["b", "a", "c"]))
+    assert names[frozenset()] == "{}"
+    assert names[frozenset("ab")] == "{a,b}"
+    assert len(set(names.values())) == 8
+    # {""} would be named like {}, and {"a,b"} like {a,b}
+    for items, bad in ((["a", "", "b,c"], "''"), (["a", "b", "a,b"], "'a,b'")):
+        with pytest.raises(ValueError, match=f"member {bad} cannot be named"):
+            graphs.subset_names(items)

@@ -56,6 +56,19 @@ def test_even_ones_bridge_both_directions():
         assert back.accepts(word) == want
 
 
+def test_dfa_bridge_waits_in_a_state_the_dfa_does_not_name():
+    # a wait state spelled "~" would be read as the DFA's state "~"
+    b = Dfa(states=("~", "a"), initial="~",
+            delta={("~", "0"): "a", ("a", "0"): "~"},
+            accepting=frozenset({"a"}))
+    fda = dfa_to_fda(b)
+    assert "~~" in fda.states and fda.initial == "~~"
+    assert not b.accepts(("0", "0"))
+    for word in all_words(5, alphabet=("0",)):
+        assert (decide_acceptance_forgetful(fda, word_to_dipath(word))
+                == b.accepts(word))
+
+
 def test_initial_accepting_fda_gives_total_dfa():
     fda = gens.random_fda(random.Random(7), max_states=3)
     fda = type(fda)(states=fda.states, rels=1, initial=fda.initial,
@@ -152,6 +165,21 @@ def label_parity_unary_ta():
                          accepting=frozenset({"o"}))
 
 
+def test_tree_bridge_waits_in_a_state_the_automaton_does_not_name():
+    # a wait state spelled "~" would let a node fire on its children's
+    # waiting state as if they had computed "~"
+    ta = TreeAutomaton(states=("~", "a"), arity=1,
+                       delta={((), "0"): "~", (("~",), "0"): "a",
+                              (("a",), "0"): "~"},
+                       accepting=frozenset({"a"}))
+    fda = treeautomaton_to_fda(ta)
+    assert "~~" in fda.states and fda.initial == "~~"
+    for n in range(1, 7):
+        pd = word_to_dipath("0" * n)
+        assert ta.accepts(pd) == (n % 2 == 0)
+        assert decide_acceptance_forgetful(fda, pd) == (n % 2 == 0)
+
+
 def test_tree_automaton_on_a_3000_node_dipath():
     rng = random.Random(3000)
     labels = [rng.choice("01") for _ in range(3000)]
@@ -215,7 +243,7 @@ def test_node_streams_reproduce_machine_configurations():
         def cell(config, pos):
             state, head, cells = config
             sym = cells.get(pos, m.blank)
-            return f"{state}/{sym}" if pos == head else sym
+            return (state, sym) if pos == head else sym
 
         for v in range(n):
             if v + 1 > k:
@@ -223,8 +251,8 @@ def test_node_streams_reproduce_machine_configurations():
             config = m.config_at(v + 1)
             stream = []
             for t in range(len(run.configs)):
-                third = run.state_at(t, v).rsplit(",", 1)[1][:-1]
-                if third != ".":
+                third = run.state_at(t, v)[2]
+                if third is not None:
                     stream.append(third)
             for pos, got in enumerate(stream[:6]):
                 assert got == cell(config, pos), (v, pos)
@@ -237,10 +265,10 @@ def test_staircase_activation_pattern():
     run = sync_run(a, d)
 
     def third_active(t, v):
-        return not run.state_at(t, v).endswith(",.)")
+        return run.state_at(t, v)[2] is not None
 
     def second_active(t, v):
-        return run.state_at(t, v).split(",")[1] != "."
+        return run.state_at(t, v)[1] is not None
 
     for v in range(1, 5):
         start = next(t for t in range(len(run.configs))
@@ -264,6 +292,28 @@ def test_tm_validation():
     with pytest.raises(ValueError):
         TuringMachine(states=("h",), tape=("_",), initial="h", blank="_",
                       delta={}, halt="h")
+
+
+_TM_OK = dict(states=("q0", "h"), tape=("_", "x"), initial="q0", blank="_",
+              delta={("q0", "_"): ("h", "x", "R")}, halt="h")
+
+
+@pytest.mark.parametrize("edit,message", [
+    (dict(states=("q0", "h", "q0")), "duplicate states"),
+    (dict(tape=("_", "x", "x")), "duplicate states or tape symbols"),
+    (dict(initial="q9"), "initial or halt state"),
+    (dict(halt="q9"), "initial or halt state"),
+    (dict(delta={("q9", "_"): ("h", "x", "R")}), "undeclared"),
+    (dict(delta={("q0", "y"): ("h", "x", "R")}), "undeclared"),
+    (dict(delta={("q0", "_"): ("q9", "x", "R")}), "undeclared"),
+    (dict(delta={("q0", "_"): ("h", "y", "R")}), "undeclared"),
+    (dict(delta={("q0", "_"): ("h", "x", "S")}), "other than L or R"),
+], ids=["dup-state", "dup-symbol", "initial", "halt", "reads-state",
+        "reads-symbol", "writes-state", "writes-symbol", "move"])
+def test_tm_refuses_undeclared_names(edit, message):
+    TuringMachine(**_TM_OK)
+    with pytest.raises(ValueError, match=message):
+        TuringMachine(**{**_TM_OK, **edit})
 
 
 def test_tm_to_da_refuses_more_windows_than_its_cap():
@@ -295,29 +345,39 @@ def counter_tm(k: int) -> TuringMachine:
 @pytest.mark.parametrize("m", [*zoo.sample_turing_machines()[::2],
                                counter_tm(3), counter_tm(6)])
 def test_tm_to_da_names_each_window_in_product_order(m):
-    cellvals = (["."] + [f"{q}/{s}" for q in m.states for s in m.tape]
+    cellvals = ([None] + [(q, s) for q in m.states for s in m.tape]
                 + list(m.tape))
     a = tm_to_da(m)
-    assert a.states == tuple(f"({x},{y},{z})" for x in cellvals
+    assert a.states == tuple((x, y, z) for x in cellvals
                              for y in cellvals for z in cellvals)
-    assert a.accepting == {f"({x},{y},{m.halt}/{s})" for x in cellvals
+    assert a.accepting == {(x, y, (m.halt, s)) for x in cellvals
                            for y in cellvals for s in m.tape}
 
 
 @pytest.mark.parametrize("tape", [("_", "q1/_"), ("_", "a", "a,a"),
                                   ("_", "_")])
 def test_tm_to_da_refuses_colliding_window_names(tape):
-    # a symbol spelled like a headed cell ("q1/_") or holding the window
-    # separator names two windows alike, and the automaton's transitions
-    # would mistake one for the other
+    # windows are tuples, so a symbol spelled like a headed cell ("q1/_")
+    # or holding a comma names no two windows alike; only a repeated
+    # symbol is refused, by the machine itself
     states = ("q0", "q1", "h")
-    m = TuringMachine(states=states, tape=tape, initial="q0", blank="_",
-                      delta={(q, s): (states[i + 1], tape[-1], "R")
-                             for i, q in enumerate(states[:-1])
-                             for s in tape}, halt="h")
+
+    def machine():
+        return TuringMachine(states=states, tape=tape, initial="q0",
+                             blank="_", halt="h",
+                             delta={(q, s): (states[i + 1], tape[-1], "R")
+                                    for i, q in enumerate(states[:-1])
+                                    for s in tape})
+
+    if len(set(tape)) != len(tape):
+        with pytest.raises(ValueError, match="duplicate states or tape"):
+            machine()
+        return
+    m = machine()
     assert m.halting_time(5) == 2
-    with pytest.raises(ValueError, match="distinct names to"):
-        tm_to_da(m)
+    a = tm_to_da(m)
+    assert [n for n in range(1, 6)
+            if decide_acceptance_sync(a, dipath(n))] == [2]
 
 
 def test_json_roundtrips():
