@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 from . import formulas as fm
 from .automata import (NVec, RuleDelta, UnmatchedTransition, _Interned,
                        _infer_bits, _init, _names, _positive, _rule_from_json,
-                       _rule_json, all_pairs)
+                       _rule_json, all_pairs, region_steps)
 from .graphs import (ENUM_SAFETY_BOUND, Digraph, LimitExceeded,
                      OracleBoundError, _bitstrings, enumerate_digraphs)
 
@@ -105,12 +105,17 @@ class AltAutomaton:
 
     def successors_superset(self) -> dict:
         """state -> every state its transitions can reach.  Without a map
-        supplied, the first call steps every (state, neighbourhood) pair
-        and attaches the result as ``succ_map``."""
+        supplied, the first call reads it off the rule regions of a rule
+        automaton (``region_steps``), or else steps every (state,
+        neighbourhood) pair, and attaches the result as ``succ_map``."""
         if self.succ_map is None:
-            succ = {q: set() for q in self.states}
-            for q, nvec in all_pairs(self):
-                succ[q] |= self.step(q, nvec)
+            steps = region_steps(self, AltError)
+            if steps is not None:
+                succ = {q: frozenset().union(*ts) for q, ts in steps.items()}
+            else:
+                succ = {q: set() for q in self.states}
+                for q, nvec in all_pairs(self):
+                    succ[q] |= self.step(q, nvec)
             self.succ_map = {q: frozenset(t) for q, t in succ.items()}
         return self.succ_map
 
@@ -198,9 +203,15 @@ def is_nondeterministic(a: AltAutomaton) -> bool:
 
 
 def is_deterministic(a: AltAutomaton) -> bool:
-    """Syntactic check: every transition value is a singleton."""
-    return is_nondeterministic(a) and all(len(a.step(q, nvec)) == 1
-                                          for q, nvec in all_pairs(a))
+    """Syntactic check: every transition value is a singleton, read off
+    the rule regions of a rule automaton (``region_steps``), else off
+    every (state, neighbourhood) pair."""
+    if not is_nondeterministic(a):
+        return False
+    steps = region_steps(a, AltError)
+    if steps is not None:
+        return all(len(t) == 1 for ts in steps.values() for t in ts)
+    return all(len(a.step(q, nvec)) == 1 for q, nvec in all_pairs(a))
 
 
 # ---------------------------------------------------------------------------

@@ -97,18 +97,32 @@ def synchronous_timing(d: Digraph) -> Timing:
     return Timing(edge_order=_edge_order(d), prefix=(), lossless=True)
 
 
+def _coin_flips(bits, count: int) -> tuple[int, ...]:
+    """``count`` draws of ``randint(0, 1)`` from the generator whose
+    ``getrandbits`` is ``bits``, drawn as CPython draws them (two bits,
+    again while the value is 2 or 3), without its call overhead: the
+    same values, and the generator left in the same state."""
+    out = []
+    for _ in range(count):
+        r = bits(2)
+        while r > 1:
+            r = bits(2)
+        out.append(r)
+    return tuple(out)
+
+
 def sample_timing(d: Digraph, prefix_len: int, lossless: bool, seed: int) -> Timing:
     """Uniform random activity bits over the prefix, repaired to the lossless
     constraint when requested (edges into inactive nodes are deactivated).
     Deterministic per seed."""
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     order = _edge_order(d)
     steps = []
     for _ in range(prefix_len):
-        nodes = tuple(rng.randint(0, 1) for _ in d.nodes())
-        edges = tuple(rng.randint(0, 1) for _ in order)
+        nodes = _coin_flips(bits, d.n)
+        edges = _coin_flips(bits, len(order))
         if lossless:
             edges = tuple(bit if nodes[dst] else 0
                           for bit, (_, _, dst) in zip(edges, order))

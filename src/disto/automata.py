@@ -19,6 +19,7 @@ from .graphs import Digraph, LimitExceeded, PointedDigraph, _cached, subsets
 
 DEFAULT_HORIZON_CAP = 10 ** 6
 ENUM_LIMIT = 16  # max |Q| * rels for exhaustive (state, neighbourhood) steps
+REGION_BOX_LIMIT = 1024  # box pieces per region question; past it, all_pairs
 
 
 class InitializationError(ValueError):
@@ -147,6 +148,143 @@ def all_pairs(a) -> Iterator[tuple[object, NVec]]:
     check_enum_limit(len(a.states), a.rels)
     # product materialises the neighbourhoods once, not once per state
     return itertools.product(a.states, all_nvecs(a.states, a.rels))
+
+
+def _masks(mask: int) -> Iterator[int]:
+    """The single bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _box(rule: Rule, bit: dict, n: int, rels: int):
+    """The box of ``rule``'s guards: the least and the greatest
+    neighbourhood it admits, each packed as one mask with relation i's
+    received set in bits ``i*n`` to ``i*n + n - 1``; ``None`` if it admits
+    none.  A name outside the states gets a bit above every relation's, so
+    requiring it empties the box."""
+    full, lo, hi = (1 << n) - 1, 0, (1 << n * rels) - 1
+    for g in rule.guards:
+        if g.op == "any":
+            continue
+        mask = 0
+        for s in g.states:
+            mask |= bit.get(s, 1 << n * rels)
+        shift = (g.rel - 1) * n
+        if g.op != "subseteq":
+            lo |= mask << shift
+        if g.op != "supseteq":
+            hi &= ~((full & ~mask) << shift)
+    return None if lo & ~hi else (lo, hi)
+
+
+def _box_minus(lo, hi, mlo, mhi) -> list:
+    """Disjoint boxes covering the box ``(lo, hi)`` less its nonempty meet
+    ``(mlo, mhi)`` with another box: one per member that the meet needs
+    and ``lo`` lacks, or that ``hi`` allows and the meet forbids, holding
+    the neighbourhoods that break the meet first at that member."""
+    out = []
+    for e in _masks(mlo & ~lo):
+        out.append((lo, hi & ~e))
+        lo |= e
+    for f in _masks(hi & ~mhi):
+        out.append((lo | f, hi))
+        hi &= ~f
+    return out
+
+
+class _Fragmented(LimitExceeded):
+    """A box split into more than ``REGION_BOX_LIMIT`` pieces; caught by
+    ``region_points``, which then gives up."""
+
+
+def _uncovered(box, boxes):
+    """The least member of the first piece of ``box`` that meets none of
+    ``boxes`` (a neighbourhood in ``box`` outside all of them), or None if
+    they cover it.  Depth first: a piece inside one box is dropped, and
+    any other is split against the first box it meets."""
+    pieces, split = [box], 0
+    while pieces:
+        lo, hi = pieces.pop()
+        first = None
+        for blo, bhi in boxes:
+            mlo, mhi = lo | blo, hi & bhi
+            if mlo & ~mhi:
+                continue
+            if mlo == lo and mhi == hi:
+                break  # inside one box: covered
+            if first is None:
+                first = mlo, mhi
+        else:
+            if first is None:
+                return lo
+            parts = _box_minus(lo, hi, *first)
+            split += len(parts)
+            if split > REGION_BOX_LIMIT:
+                raise _Fragmented
+            pieces += reversed(parts)
+    return None
+
+
+def region_points(a) -> dict | None:
+    """For an automaton whose ``delta`` is a ``RuleDelta``: each state ->
+    one neighbourhood in each of its rules' regions that is not empty, in
+    rule order, and then one that no rule matches, if any.  ``None`` for a
+    callable ``delta``, or when one question below splits a box into more
+    than ``REGION_BOX_LIMIT`` pieces.
+
+    A rule matches a box: the neighbourhoods between a least and a
+    greatest one, relation by relation.  First-match order makes a rule's
+    region its box less the boxes of the rules before it, so the region is
+    nonempty iff some point of the box lies in none of those
+    (``_uncovered``); what no rule matches is the whole lattice less every
+    box."""
+    delta = a.delta
+    if not isinstance(delta, RuleDelta):
+        return None
+    names = tuple(dict.fromkeys(a.states))
+    n, rels = len(names), a.rels
+    bit = {q: 1 << i for i, q in enumerate(names)}
+    lattice = 0, (1 << n * rels) - 1
+
+    def nvec(lo: int) -> NVec:
+        return tuple(frozenset(names[m.bit_length() - 1]
+                               for m in _masks((lo >> i * n) & ((1 << n) - 1)))
+                     for i in range(rels))
+
+    out = {}
+    try:
+        for q in names:
+            boxes, points = [], []
+            for rule in delta._by_src.get(q, ()):
+                box = _box(rule, bit, n, rels)
+                if box is not None:
+                    points.append(_uncovered(box, boxes))
+                    boxes.append(box)
+            points.append(_uncovered(lattice, boxes))
+            out[q] = [nvec(p) for p in points if p is not None]
+    except _Fragmented:
+        return None
+    return out
+
+
+def region_steps(a, fault: type) -> dict | None:
+    """q -> ``a.step`` at each of ``region_points(a)[q]``: the values of
+    the rules that fire, for a rule automaton.  A step that raises
+    ``fault`` (no rule matches, or a bad target) propagates above
+    ``ENUM_LIMIT``.  Within it, as for a callable ``delta`` or too many
+    boxes, the answer is ``None``: the caller enumerates ``all_pairs``,
+    which raises the message naming the first failing pair in its order."""
+    points = region_points(a)
+    if points is None:
+        return None
+    try:
+        return {q: [a.step(q, n) for n in ns] for q, ns in points.items()}
+    except fault:
+        if len(a.states) * a.rels <= ENUM_LIMIT:
+            return None
+        raise
 
 
 def _infer_bits(a) -> int:
@@ -338,27 +476,38 @@ class AutomatonClass:
 
 
 def validate_total(a: DistributedAutomaton) -> tuple | None:
-    """First (state, neighborhoods) pair without a matching rule, or None.
+    """First (state, neighborhoods) pair whose step fails (no rule matches,
+    or the target is undeclared), or None.
 
-    Rule sets with a catch-all rule per state are total by construction;
-    otherwise totality is checked by exhaustive enumeration.
+    A rule automaton is stepped once in each rule region and once in what
+    its rules leave unmatched (``region_points``); above ``ENUM_LIMIT`` the
+    first such pair that fails is the answer.  Otherwise the pairs are
+    enumerated in ``all_pairs`` order.
     """
-    delta = a.delta
-    if isinstance(delta, RuleDelta):
-        covered = {r.src for r in delta.rules
-                   if all(g.op == "any" for g in r.guards)}
-        if covered >= set(a.states):
-            return None
-    for q, nvec in all_pairs(a):
-        try:
-            a.step(q, nvec)
-        except UnmatchedTransition:
-            return (q, nvec)
-    return None
+    points = region_points(a)
+    if points is not None:
+        fault = next(((q, n) for q, ns in points.items() for n in ns
+                      if _fails(a, q, n)), None)
+        if fault is None or len(a.states) * a.rels > ENUM_LIMIT:
+            return fault
+    return next(((q, n) for q, n in all_pairs(a) if _fails(a, q, n)), None)
+
+
+def _fails(a: DistributedAutomaton, q: str, nvec: NVec) -> bool:
+    try:
+        a.step(q, nvec)
+    except UnmatchedTransition:
+        return True
+    return False
 
 
 def state_diagram(a: DistributedAutomaton) -> dict[str, set[str]]:
-    """Successor map q -> {delta(q, nvec) : nvec}, by exhaustive enumeration."""
+    """Successor map q -> {delta(q, nvec) : nvec}: from the rule regions
+    of a rule automaton (``region_steps``), else by exhaustive
+    enumeration."""
+    steps = region_steps(a, UnmatchedTransition)
+    if steps is not None:
+        return {q: set(targets) for q, targets in steps.items()}
     succ: dict[str, set[str]] = {q: set() for q in a.states}
     for q, nvec in all_pairs(a):
         succ[q].add(a.step(q, nvec))

@@ -21,6 +21,7 @@ from .formulas import (And, BBox, BDia, Bot, In, MuSystem, Not, Or, Top,
 from .graphs import LimitExceeded, _bitstrings, subset_names, subsets
 
 MAX_COMPILE_PROPS = 10
+TRACE_LIMIT = 12  # max live traces: decompilation's histories are their subsets
 
 
 class ClassError(ValueError):
@@ -89,13 +90,22 @@ def compute_traces(a: DistributedAutomaton,
     """All traces: nonempty state sequences with distinct adjacent entries,
     each step witnessed by some neighborhood.  ``starts`` restricts the
     admissible first states (default: every state); ``succ`` is the
-    automaton's successor map, if the caller already has it."""
+    automaton's successor map, if the caller already has it.  Refuses more
+    than ``TRACE_LIMIT`` live traces (those that start in an initial
+    state), counted as they are found."""
     if succ is None:
         succ = _require_quasi_acyclic(a)
+    live, count = frozenset(a.init.values()), 0
     out: set[tuple[str, ...]] = set()
     stack = [(q,) for q in (a.states if starts is None else starts)]
     while stack:
         trace = stack.pop()
+        if trace[0] in live and trace not in out:
+            count += 1
+            if count > TRACE_LIMIT:
+                raise LimitExceeded(
+                    f"more than {TRACE_LIMIT} live traces (decompilation "
+                    f"enumerates every set of them)")
         out.add(trace)
         stack.extend(trace + (t,) for t in succ[trace[-1]])
     return frozenset(out)

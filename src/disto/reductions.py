@@ -27,6 +27,18 @@ class Dfa:
     delta: dict[tuple[str, str], str]  # (state, letter) -> state
     accepting: frozenset[str]
 
+    def __post_init__(self):
+        declared = set(self.states)
+        if self.initial not in declared:
+            raise ValueError(f"initial state {self.initial!r} not in state set")
+        extra = sorted(self.accepting - declared, key=repr)
+        if extra:
+            raise ValueError(f"accepting states {extra} not in state set")
+        for (q, a), q2 in self.delta.items():
+            if not {q, q2} <= declared:
+                raise ValueError(f"delta row {[q, a, q2]} names a state "
+                                 f"not in the state set")
+
     def letters(self) -> tuple[str, ...]:
         return tuple(sorted({a for (_, a) in self.delta}))
 

@@ -39,6 +39,8 @@ class TilingSystem:
 
     def __post_init__(self):
         for t in self.tiles:
+            if len(t) != 4:
+                raise ValueError(f"tile {list(t)} does not have 4 cells")
             for c in t:
                 if c == BORDER:
                     continue

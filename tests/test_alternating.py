@@ -678,10 +678,9 @@ def test_validate_alt_checks_every_neighbourhood_of_a_permanent_state():
 
 def test_levels_are_derived_once_per_automaton(monkeypatch):
     calls = []
-    enumerate_all = alt.all_pairs
-    monkeypatch.setattr(alt, "all_pairs",
-                        lambda *args: calls.append(args) or
-                        enumerate_all(*args))
+    walk = alt.region_steps
+    monkeypatch.setattr(alt, "region_steps",
+                        lambda *args: calls.append(args) or walk(*args))
     a = rule_automaton(
         "z:E o:E x:U y:U yes:P no:P", {"0": "z", "1": "o"}, rules=[
             ("z", [], ["x"]), ("o", [], ["x", "y"]),
@@ -692,7 +691,7 @@ def test_levels_are_derived_once_per_automaton(monkeypatch):
             ("s", [(1, "supseteq", ["yes"])], ["yes"]),
             ("s", [], ["yes", "no"])], accepting=(["yes"],))
     union(a, b)
-    assert len(calls) == 2  # one enumeration per operand
+    assert len(calls) == 2  # one region walk per operand
     calls.clear()
     d = make(1, 1, ["0", "1"], [(1, 0, 1)])
     for _ in range(2):

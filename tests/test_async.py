@@ -79,6 +79,38 @@ def test_sample_timing_deterministic_and_lossless():
             assert not bit or step.nodes[dst]
 
 
+def reference_sample_timing(d, prefix_len, lossless, seed):
+    """``sample_timing`` with every bit drawn by ``rng.randint(0, 1)``."""
+    rng = random.Random(seed)
+    order = tuple(d.sorted_edges())
+    steps = []
+    for _ in range(prefix_len):
+        nodes = tuple(rng.randint(0, 1) for _ in d.nodes())
+        edges = tuple(rng.randint(0, 1) for _ in order)
+        if lossless:
+            edges = tuple(bit if nodes[dst] else 0
+                          for bit, (_, _, dst) in zip(edges, order))
+        steps.append(TimingStep(nodes, edges))
+    return Timing(edge_order=order, prefix=tuple(steps), lossless=lossless)
+
+
+def test_sampled_bits_are_the_bits_randint_draws():
+    from disto.asyncrun import _coin_flips
+    d = make(1, 2, ["1", "0", "0"],
+             [(1, 0, 1), (1, 1, 2), (2, 2, 0), (2, 0, 0)])
+    for seed in range(1000):
+        for lossless in (True, False):
+            for prefix_len in (0, 1, 5, 17):
+                assert (sample_timing(d, prefix_len, lossless, seed)
+                        == reference_sample_timing(d, prefix_len, lossless,
+                                                   seed))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        count = seed % 61
+        assert (_coin_flips(ours.getrandbits, count)
+                == tuple(theirs.randint(0, 1) for _ in range(count)))
+        assert ours.getstate() == theirs.getstate()
+
+
 def test_empty_prefix_is_synchronous():
     d = make(1, 1, ["1", "0"], [(1, 0, 1)])
     assert sample_timing(d, 0, lossless=False, seed=0) == Timing(

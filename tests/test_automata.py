@@ -363,16 +363,11 @@ def test_state_diagram_and_accepted_nodes():
 
 # ---------------------------------------------------------------------------
 # The one (state, neighbourhood) enumerator against the five loops it
-# replaced, kept here as they stood (less their cap checks, which have
-# their own tests below).
+# replaced, kept here as they stood, less their cap checks (which have
+# their own tests below) and less the totality check's shortcut for a
+# catch-all row per state, which hid a catch-all's undeclared target.
 
 def reference_validate_total(a):
-    delta = a.delta
-    if isinstance(delta, RuleDelta):
-        covered = {r.src for r in delta.rules
-                   if all(g.op == "any" for g in r.guards)}
-        if covered >= set(a.states):
-            return None
     for q in a.states:
         for nvec in all_nvecs(a.states, a.rels):
             try:
@@ -528,6 +523,178 @@ def test_at_the_cap_the_enumeration_starts(n, rels):
     d = DistributedAutomaton(states=states, rels=rels, init={"": "q0"},
                              accepting=frozenset(), delta=_never_stepped)
     assert next(iter(all_pairs(d))) == ("q0", (frozenset(),) * rels)
+
+
+# ---------------------------------------------------------------------------
+# The rule regions against the enumeration, on distributed and alternating
+# rule files whose guard sets may name undeclared states and repeat a
+# relation, and whose rows may target an undeclared state or (alternating)
+# nothing.
+
+def _region_rule_file(rng, kind):
+    obj = _random_rule_file(rng, kind)
+    names = [s if isinstance(s, str) else s["name"] for s in obj["states"]]
+    for row in obj["rules"]:
+        for g in row["guards"]:
+            if rng.random() < 0.2:
+                g["set"] = sorted(g["set"] + ["ghost"])
+        if row["guards"] and rng.random() < 0.3:
+            row["guards"].append({
+                "rel": row["guards"][0]["rel"],
+                "op": rng.choice(("subseteq", "supseteq", "eq", "any")),
+                "set": sorted(rng.sample(names, rng.randint(0, len(names))))})
+        if rng.random() < 0.05:
+            row["to"] = (rng.choice(([], ["ghost"], [names[0], "ghost"]))
+                         if kind == "alternating" else "ghost")
+    return obj
+
+
+def _load_rule_file(obj, kind):
+    return {"distributed": automata.from_json_dict,
+            "alternating": alt.from_json_dict}[kind](obj)
+
+
+def _first_rows(obj, q, nvecs):
+    """The index of the first row of ``q`` matching each of ``nvecs``
+    (None if none does), by the plain reading of the rule list."""
+    rows = [r for r in obj["rules"] if r["from"] == q]
+    return [next((k for k, row in enumerate(rows)
+                  if all(_holds(g, nvec) for g in row["guards"])), None)
+            for nvec in nvecs]
+
+
+def _region_corpus(kind):
+    rng = random.Random(f"regions-{kind}")
+    return [_region_rule_file(rng, kind) for _ in range(150)]
+
+
+@pytest.mark.parametrize("kind", ["distributed", "alternating"])
+def test_rule_regions_fire_the_rules_the_enumeration_fires(kind):
+    for obj in _region_corpus(kind):
+        a = _load_rule_file(obj, kind)
+        points = automata.region_points(a)
+        for q in a.states:
+            every = _first_rows(obj, q, all_nvecs(a.states, a.rels))
+            fired = sorted({k for k in every if k is not None})
+            want = fired + ([None] if None in every else [])
+            assert _first_rows(obj, q, points[q]) == want
+
+
+@pytest.mark.parametrize("box_limit", [automata.REGION_BOX_LIMIT, 0])
+def test_distributed_regions_match_the_reference_loops(monkeypatch,
+                                                       box_limit):
+    # a limit of 0 sends every file whose regions split to the enumeration
+    monkeypatch.setattr(automata, "REGION_BOX_LIMIT", box_limit)
+    for obj in _region_corpus("distributed"):
+        a = _load_rule_file(obj, "distributed")
+        assert (automata.validate_total(a)
+                == reference_validate_total(a))
+        assert (_outcome(state_diagram, a)
+                == _outcome(reference_state_diagram, a))
+        assert _outcome(classify, a) == _outcome(reference_classify, a)
+
+
+@pytest.mark.parametrize("box_limit", [automata.REGION_BOX_LIMIT, 0])
+def test_alternating_regions_match_the_reference_loops(monkeypatch,
+                                                       box_limit):
+    monkeypatch.setattr(automata, "REGION_BOX_LIMIT", box_limit)
+    for obj in _region_corpus("alternating"):
+        a = _load_rule_file(obj, "alternating")
+        want = _outcome(reference_successors_superset, a)
+        assert _outcome(alt.AltAutomaton.successors_superset, a) == want
+        assert (_outcome(alt.is_deterministic, a)
+                == _outcome(reference_is_deterministic, a))
+
+
+def test_a_callable_delta_has_no_regions():
+    assert automata.region_points(constant_automaton()) is None
+    assert automata.region_steps(constant_automaton(),
+                                 UnmatchedTransition) is None
+
+
+def _big_rule_file(n, total):
+    """``n`` states on 2 relations: q_i stays, or moves to q_{i+1} when
+    relation 1 holds q_{i+7} and relation 2 nothing, or relation 2 holds
+    q_i and at most q_{i+1} besides.  With ``total`` every state has a
+    catch-all; without, the last state's only row needs relation 1 empty."""
+    states = [f"q{i}" for i in range(n)]
+    rules = []
+    for i, q in enumerate(states[:-1]):
+        nxt, far = states[i + 1], states[(i + 7) % n]
+        rules += [
+            {"from": q, "guards": [{"rel": 1, "op": "subseteq", "set": [q]}],
+             "to": q},
+            {"from": q, "guards": [{"rel": 1, "op": "supseteq", "set": [far]},
+                                   {"rel": 2, "op": "eq", "set": []}],
+             "to": nxt},
+            {"from": q, "guards": [{"rel": 2, "op": "supseteq", "set": [q]},
+                                   {"rel": 2, "op": "subseteq",
+                                    "set": [q, nxt]}],
+             "to": nxt},
+            {"from": q, "to": q}]
+    last = states[-1]
+    rules.append({"from": last, "guards": [{"rel": 1, "op": "eq", "set": []}],
+                  "to": last})
+    if total:
+        rules.append({"from": last, "to": last})
+    return automata.from_json_dict({
+        "states": states, "relations": 2, "init": {"": "q0"},
+        "accepting": [last], "rules": rules})
+
+
+def test_a_40_state_2_relation_rule_automaton_is_classified():
+    a = _big_rule_file(40, total=True)
+    assert automata.validate_total(a) is None
+    diagram = state_diagram(a)
+    assert diagram == {q: {q, t} for q, t in zip(a.states, a.states[1:])} \
+        | {"q39": {"q39"}}
+    rng = random.Random(40)  # sampled neighbourhoods land in the diagram
+    for _ in range(2000):
+        q = rng.choice(a.states)
+        nvec = tuple(frozenset(rng.sample(a.states, rng.randint(0, 3)))
+                     for _ in range(2))
+        assert a.step(q, nvec) in diagram[q]
+    assert classify(a) == AutomatonClass(is_local=False,
+                                         is_quasi_acyclic=True,
+                                         is_monovisioned=False)
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_a_catch_all_to_an_undeclared_state_is_a_fault_at_any_size(n):
+    # within the cap the enumeration names the pair, above it the region
+    states = [f"q{i}" for i in range(n)]
+    a = automata.from_json_dict({
+        "states": states, "relations": 1, "init": {"": "q0"},
+        "accepting": [], "rules": [{"from": q, "to": "ghost" if q == "q3"
+                                    else q} for q in states]})
+    assert automata.validate_total(a) == ("q3", (frozenset(),))
+
+
+def test_over_the_cap_a_rule_fault_names_its_region():
+    a = _big_rule_file(40, total=False)
+    # relation 1 must be empty; the first box left over holds q0 there
+    unmatched = ("q39", (frozenset({"q0"}), frozenset()))
+    assert automata.validate_total(a) == unmatched
+    with pytest.raises(UnmatchedTransition):
+        a.step(*unmatched)
+    with pytest.raises(UnmatchedTransition) as caught:
+        state_diagram(a)
+    assert str(caught.value) == (
+        f"no rule matches 'q39' with {unmatched[1]}")
+    states = [f"q{i}" for i in range(17)]
+    for to, message in [
+            ([], "empty transition value at state 'q3'"),
+            (["q1", "ghost"], "transition from state 'q3' on "
+             "(frozenset(),) targets undeclared states ['ghost']")]:
+        b = alt.from_json_dict({
+            "states": [{"name": q, "kind": "E"} for q in states[:-1]]
+            + [{"name": states[-1], "kind": "P"}],
+            "relations": 1, "init": {"": "q0"}, "accepting_sets": [],
+            "rules": [{"from": q, "to": to if q == "q3" else [states[-1]]}
+                      for q in states]})
+        for f in (alt.AltAutomaton.successors_superset, alt.is_deterministic,
+                  alt.validate_alt):
+            assert _outcome(f, b) == (alt.AltError, message)
 
 
 # ---------------------------------------------------------------------------

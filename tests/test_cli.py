@@ -833,6 +833,25 @@ def _edited(name, path, value):
                                       {"from": "c", "to": "c"},
                                       {"from": "a|c", "to": "a|c"}]}),
      "state 'a|c' cannot be spelled"),
+    (["dfa2fda", "@dfa"], _edited("dfa", ["initial"], "zz"),
+     "ValueError: initial state 'zz' not in state set"),
+    (["dfa2fda", "@dfa"], _edited("dfa", ["accepting"], ["zz"]),
+     "ValueError: accepting states ['zz'] not in state set"),
+    (["dfa2fda", "@dfa"],
+     dict(_verb_files(), dfa={"states": ["s"], "initial": "s",
+                              "accepting": ["s"],
+                              "delta": [["s", "0", "zz"]]}),
+     "ValueError: delta row ['s', '0', 'zz'] names a state not in the "
+     "state set"),
+    (["dfa2fda", "@dfa"],
+     dict(_verb_files(), dfa={"states": ["s"], "initial": "s",
+                              "accepting": [],
+                              "delta": [["s", "0", "s"], ["zz", "0", "s"]]}),
+     "ValueError: delta row ['zz', '0', 's'] names a state not in the "
+     "state set"),
+    (["ts-recognize", "@ts", "@grid"], _edited("ts", ["tiles", 0],
+                                               ["#", "#", "#"]),
+     "ValueError: tile ['#', '#', '#'] does not have 4 cells"),
 ], ids=["states-5", "rules-[5]", "guards-x", "nodes-5", "label-5",
         "alt-states-strings", "tiles-5", "tm-delta-5", "tm-window-names",
         "fda-delta-[]",
@@ -840,7 +859,9 @@ def _edited(name, path, value):
         "alt-target-list", "init-list", "init-undeclared",
         "accepting-undeclared", "alt-init-empty", "ts-states-string",
         "ts-bits-float", "ts-bits-negative", "mu-variable-comma",
-        "fda-state-comma", "qda-state-space", "qda-state-bar"])
+        "fda-state-comma", "qda-state-space", "qda-state-bar",
+        "dfa-initial-undeclared", "dfa-accepting-undeclared",
+        "dfa-target-undeclared", "dfa-source-undeclared", "ts-tile-3-cells"])
 def test_malformed_files_get_one_input_error(capsys, tmp_path, argv, files,
                                              message):
     code, out = run_cli(capsys, *_write_files(str(tmp_path), files, argv))
@@ -848,8 +869,10 @@ def test_malformed_files_get_one_input_error(capsys, tmp_path, argv, files,
     assert message in out["details"]["message"]
 
 
-def test_an_alternating_automaton_over_the_enumeration_cap_is_a_limit(
+def test_an_alternating_rule_automaton_over_the_enumeration_cap_is_decided(
         capsys, tmp_path):
+    # 17 states on 1 relation: past the cap of all_pairs, but the rule
+    # regions give its successor map
     states = [f"q{i}" for i in range(17)]
     obj = {"states": [{"name": q, "kind": "E"} for q in states[:-1]]
            + [{"name": states[-1], "kind": "P"}],
@@ -860,18 +883,51 @@ def test_an_alternating_automaton_over_the_enumeration_cap_is_a_limit(
     files = {"big": obj, "g0": _verb_files()["g0"]}
     code, out = run_cli(capsys, *_write_files(str(tmp_path), files,
                                               ["alt-accept", "@big", "@g0"]))
-    assert code == 1 and out["verdict"] == "limit-exceeded"
-    assert out["details"]["message"] == (
-        "ClassificationInfeasible: 17 states x 1 relations exceeds the "
-        "exhaustive enumeration limit")
+    assert code == 0 and out["verdict"] == "accepted"
+
+
+def test_a_40_state_2_relation_alternating_rule_automaton_is_decided(
+        capsys, tmp_path):
+    # a_i climbs to a_{i+1} while relation 1 holds a_i (a self-loop), and
+    # may also climb, or give up, while relation 2 is empty; a_37 accepts
+    # only on the self-loop
+    climb = [f"a{i}" for i in range(38)]
+    rules = []
+    for q, nxt in zip(climb, climb[1:]):
+        rules += [
+            {"from": q, "guards": [{"rel": 1, "op": "supseteq", "set": [q]}],
+             "to": [nxt]},
+            {"from": q, "guards": [{"rel": 2, "op": "eq", "set": []}],
+             "to": [nxt, "no"]},
+            {"from": q, "to": ["no"]}]
+    rules += [{"from": "a37", "guards": [{"rel": 1, "op": "supseteq",
+                                          "set": ["a37"]}], "to": ["yes"]},
+              {"from": "a37", "to": ["no"]},
+              {"from": "yes", "to": ["yes"]}, {"from": "no", "to": ["no"]}]
+    files = {"big": {"states": [{"name": q, "kind": "E"} for q in climb]
+                     + [{"name": "yes", "kind": "P"},
+                        {"name": "no", "kind": "P"}],
+                     "relations": 2, "init": {"": "a0"}, "rules": rules,
+                     "accepting_sets": [["yes"]]}}
+    for edges, verdict in [([(1, 0, 0)], "accepted"), ([], "rejected"),
+                           ([(2, 0, 0)], "rejected"),
+                           ([(1, 0, 0), (2, 0, 0)], "accepted")]:
+        files["g"] = graphs.to_json_dict(graphs.make(0, 2, [""], edges,
+                                                     point=0))
+        code, out = run_cli(capsys, *_write_files(str(tmp_path), files,
+                                                  ["alt-accept", "@big",
+                                                   "@g"]))
+        assert code == 0 and out["verdict"] == verdict
 
 
 def _cap_files():
-    """Files just over a cap: a 17-state distributed automaton, a 17-state
-    forgetful automaton whose second step set holds all 17 states, a
-    9-state, 9-symbol Turing machine, and an 11-proposition formula."""
+    """Files just over a cap: a 20-state chain automaton with 20 live
+    traces, a 17-state forgetful automaton whose second step set holds all
+    17 states, a 9-state, 9-symbol Turing machine, and an 11-proposition
+    formula."""
     from disto.reductions import TuringMachine
     states = [f"q{i}" for i in range(17)]
+    chain = [f"q{i}" for i in range(20)]
     tm_states = tuple(f"q{i}" for i in range(8)) + ("h",)
     tape = tuple("_abcdefgh")
     tm = TuringMachine(states=tm_states, tape=tape, initial="q0", blank="_",
@@ -880,9 +936,10 @@ def _cap_files():
                        halt="h")
     return dict(
         _verb_files(),
-        a17={"states": states, "relations": 1, "init": {"": "q0"},
-             "accepting": [], "rules": [{"from": q, "guards": [], "to": q}
-                                        for q in states]},
+        chain20={"states": chain, "relations": 1, "init": {"": "q0"},
+                 "accepting": [], "rules": [{"from": q, "guards": [], "to": t}
+                                            for q, t in zip(chain, chain[1:]
+                                                            + chain[-1:])]},
         f17={"states": states, "relations": 1, "initial": "q0",
              "accepting": [],
              "delta": {format(i, "05b"): [{"guards": [], "to": q}]
@@ -892,7 +949,7 @@ def _cap_files():
 
 @pytest.mark.parametrize("argv,cls", [
     (["run", "@a", "@g", "--horizon", "0"], "HorizonExceeded"),
-    (["decompile-qda", "@a17"], "ClassificationInfeasible"),
+    (["decompile-qda", "@chain20"], "LimitExceeded"),
     (["alt-accept", "@alt", "@g0"], "LimitExceeded"),
     (["tm2da", "@tm9"], "LimitExceeded"),
     (["compile-mu", "@mu11", "--bits", "10"], "LimitExceeded"),
@@ -900,7 +957,7 @@ def _cap_files():
     (["empty-forgetful", "@f17"], "ClassificationInfeasible"),
     (["fda2dfa", "@f17"], "ClassificationInfeasible"),
     (["gen", "dipath", "--n", str(cli.GEN_SIZE_LIMIT + 1)], "LimitExceeded"),
-], ids=["horizon", "enum-limit", "game-successors", "tm-windows",
+], ids=["horizon", "trace-limit", "game-successors", "tm-windows",
         "compile-props", "ditree-nodes", "forgetful-steps", "fda-powerset",
         "gen-size"])
 def test_every_cap_is_a_limit(capsys, tmp_path, monkeypatch, argv, cls):

@@ -245,3 +245,39 @@ def test_decompile_shares_each_trace_atom():
     start1 = sys_.body_of(trace_var(t1)).args[0]
     start2 = sys_.body_of(trace_var(t2)).args[0]
     assert start1 == fm.In(trace_var(t1[:1])) and start1 is start2
+
+
+# ---------------------------------------------------------------------------
+# The live-trace cap
+
+def _chain(n):
+    states = [f"q{i}" for i in range(n)]
+    return automata.from_json_dict({
+        "states": states, "relations": 1, "init": {"": "q0"},
+        "accepting": states[-1:],
+        "rules": [{"from": q, "to": t}
+                  for q, t in zip(states, states[1:] + states[-1:])]})
+
+
+def test_decompilation_stops_past_the_live_trace_cap():
+    from disto.mucompile import TRACE_LIMIT
+    # a chain of n states has n live traces, all from q0
+    at_cap = decompile_qda_to_mu(_chain(TRACE_LIMIT))
+    assert len(at_cap.variables) == TRACE_LIMIT + 1
+    over = _chain(TRACE_LIMIT + 1)
+    with pytest.raises(LimitExceeded) as caught:
+        decompile_qda_to_mu(over)
+    assert str(caught.value) == (
+        f"more than {TRACE_LIMIT} live traces (decompilation enumerates "
+        f"every set of them)")
+    # traces from states no label starts in are not counted
+    assert len(compute_traces(zoo.reachability_automaton())) > TRACE_LIMIT
+
+
+def test_a_16_state_compiled_system_is_refused_by_its_live_traces():
+    system = fm.parse_mu("(mu ((X1 (or (in P1) (bdia 1 X2))) "
+                         "(X2 (or (in P2) (bdia 1 X1)))))", bits=2)
+    a = compile_mu_to_aqda(system)
+    assert len(a.states) == 16  # at ENUM_LIMIT: its state diagram enumerates
+    with pytest.raises(LimitExceeded):
+        decompile_qda_to_mu(a)
