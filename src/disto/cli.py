@@ -260,12 +260,14 @@ def cmd_ts_recognize(args):
 
 def cmd_grid_check(args):
     d = _load(args.graph, _digraph)
-    failed = tiling.grid_validate(d)
-    if failed is None:
+    try:
         h, w = tiling.grid_dimensions(d)
-        return "is-grid", {"height": h, "width": w}
-    return "not-a-grid", {"failed_condition": failed,
-                          "name": tiling.grid_condition_name(failed)}
+    except tiling.StructureError as e:
+        if e.condition is None:
+            raise
+        return "not-a-grid", {"failed_condition": e.condition,
+                              "name": tiling.grid_condition_name(e.condition)}
+    return "is-grid", {"height": h, "width": w}
 
 
 def cmd_gen(args):

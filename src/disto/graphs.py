@@ -297,25 +297,32 @@ def is_dipath(pd: PointedDigraph) -> bool:
 
 
 def is_ordered_ditree(pd: PointedDigraph) -> bool:
-    d = pd.digraph
+    d, root = pd.digraph, pd.point
     # edges of different relations must not overlap
-    seen_pairs = set()
-    for (r, s, t) in d.edges:
-        if (s, t) in seen_pairs:
-            return False
-        seen_pairs.add((s, t))
-    # every node reaches the root by exactly one directed path
-    out_all = {v: [t for (r, s, t) in d.edges if s == v] for v in d.nodes()}
-    for v in d.nodes():
-        path, cur = {v}, v
-        while cur != pd.point:
-            nxt = out_all[cur]
-            if len(nxt) != 1 or nxt[0] in path:
-                return False
-            cur = nxt[0]
-            path.add(cur)
-    if len(d.edges) != d.n - 1:
+    if len({(s, t) for (_, s, t) in d.edges}) != len(d.edges):
         return False
+    if len(d.edges) != d.n - 1 or not 0 <= root < d.n:
+        return False
+    # every node reaches the root by exactly one directed path: each node
+    # but the root has one out-edge, and the walks along them, each
+    # stopping at a node already known to reach the root, meet no cycle
+    rels = range(1, d.rels + 1)
+    reaches = [False] * d.n
+    reaches[root] = True
+    on_path = [False] * d.n
+    for v in d.nodes():
+        path, cur = [], v
+        while not reaches[cur]:
+            if on_path[cur]:
+                return False
+            on_path[cur] = True
+            path.append(cur)
+            out = [t for i in rels for t in d.out_neighbors(i, cur)]
+            if len(out) != 1:
+                return False
+            cur = out[0]
+        for u in path:
+            reaches[u] = True
     # ordered condition: at most one incoming i-neighbor, and an incoming
     # (i+1)-neighbor implies an incoming i-neighbor
     for v in d.nodes():

@@ -18,7 +18,12 @@ BORDER = "#"
 
 
 class StructureError(ValueError):
-    pass
+    """A digraph that is not a grid, or not 2-relational; ``condition`` is
+    the number of the failed grid condition, or None."""
+
+    def __init__(self, message: str, condition: int | None = None):
+        super().__init__(message)
+        self.condition = condition
 
 
 Cell = str  # "label:state" or "#"
@@ -86,50 +91,53 @@ def is_partial_injective(pairs: frozenset[tuple[int, int]]) -> bool:
     return len(set(srcs)) == len(srcs) and len(set(dsts)) == len(dsts)
 
 
-def _reaches_sink_everywhere(d: Digraph, rel: int) -> bool:
-    # with functionality this amounts to acyclicity of the relation
-    for start in d.nodes():
-        seen = {start}
-        cur = start
-        while True:
-            out = d.out_neighbors(rel, cur)
-            if not out:
-                break
-            cur = out[0]
-            if cur in seen:
-                return False
-            seen.add(cur)
-    return True
+def _reaches_sink_everywhere(succ: tuple[tuple[int, ...], ...],
+                             pred: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether following ``succ`` from every node ends at a sink, for a
+    relation that is a partial injection: such a relation splits into
+    paths and cycles, so the walks down from the path heads (the nodes
+    without ``pred``) visit every node exactly when there is no cycle."""
+    seen = 0
+    for v in range(len(succ)):
+        if not pred[v]:
+            nxt = (v,)
+            while nxt:
+                seen += 1
+                nxt = succ[nxt[0]]
+    return seen == len(succ)
 
 
 def grid_validate(d: Digraph) -> int | None:
     """None if the structure is a grid, else the number (1..6) of the first
-    failed condition; see grid_condition_name."""
+    failed condition; see grid_condition_name.  Each condition is one pass
+    over the nodes."""
     if d.rels != 2:
         raise StructureError("grid_validate needs a 2-relational digraph")
-    r1, r2 = d.relation(1), d.relation(2)
-    if not (is_partial_injective(r1) and is_partial_injective(r2)):
+    (out1, out2), (in1, in2) = d._out, d._in
+    if any(max(map(len, adj), default=0) > 1
+           for adj in (out1, out2, in1, in2)):
         return 1
-    if not (_reaches_sink_everywhere(d, 1) and _reaches_sink_everywhere(d, 2)):
+    if not (_reaches_sink_everywhere(out1, in1)
+            and _reaches_sink_everywhere(out2, in2)):
         return 2
-    double_sources = [v for v in d.nodes()
-                      if not d.in_neighbors(1, v) and not d.in_neighbors(2, v)]
-    if len(double_sources) != 1:
+    nodes = d.nodes()
+    if sum(1 for v in nodes if not in1[v] and not in2[v]) != 1:
         return 3
-    h_sources = {v for v in d.nodes() if not d.in_neighbors(2, v)}
-    for v in h_sources:
-        for u in d.in_neighbors(1, v) + d.out_neighbors(1, v):
-            if u not in h_sources:
-                return 4
-    for v in d.nodes():
-        if d.out_neighbors(1, v) and d.out_neighbors(2, v):
-            w = d.out_neighbors(1, v)[0]
-            if not d.out_neighbors(2, w):
-                return 5
-    comp12 = {(a, c) for (a, b) in r1 for (b2, c) in r2 if b == b2}
-    comp21 = {(a, c) for (a, b) in r2 for (b2, c) in r1 if b == b2}
-    if comp12 != comp21:
-        return 6
+    # the horizontal sources (no relation-2 predecessor)
+    for v in nodes:
+        if not in2[v]:
+            for u in in1[v] + out1[v]:
+                if in2[u]:
+                    return 4
+    for v in nodes:
+        if out1[v] and out2[v] and not out2[out1[v][0]]:
+            return 5
+    # relations that are partial functions compose node by node
+    for v in nodes:
+        down, right = out1[v], out2[v]
+        if ((out2[down[0]] if down else ()) !=
+                (out1[right[0]] if right else ())):
+            return 6
     return None
 
 
@@ -137,22 +145,37 @@ def grid_condition_name(idx: int) -> str:
     return _CONDITION_NAMES[idx]
 
 
-def grid_coordinates(d: Digraph) -> dict[int, tuple[int, int]]:
-    """node id -> 1-based (row, column) of a grid, from relation depths;
-    ``StructureError`` when ``d`` is not a grid."""
+def _grid_rows(d: Digraph) -> list[list[int]]:
+    """The node ids of a grid row by row, each row left to right: down from
+    the one double source along relation 1, and right from each of those
+    nodes along relation 2.  ``StructureError``, with the number of the
+    failed condition, when ``d`` is not a grid."""
     failed = grid_validate(d)
     if failed is not None:
         raise StructureError(
-            f"not a grid: failed condition {grid_condition_name(failed)}")
+            f"not a grid: failed condition {grid_condition_name(failed)}",
+            failed)
+    (down, right), (in1, in2) = d._out, d._in
+    col = next((v,) for v in d.nodes() if not in1[v] and not in2[v])
+    rows = []
+    while col:
+        row, nxt = [], col
+        while nxt:
+            row.append(nxt[0])
+            nxt = right[nxt[0]]
+        rows.append(row)
+        col = down[col[0]]
+    return rows
 
-    def depth(v: int, rel: int) -> int:
-        k, cur = 0, v
-        while d.in_neighbors(rel, cur):
-            cur = d.in_neighbors(rel, cur)[0]
-            k += 1
-        return k
 
-    return {v: (depth(v, 1) + 1, depth(v, 2) + 1) for v in d.nodes()}
+def grid_coordinates(d: Digraph) -> dict[int, tuple[int, int]]:
+    """node id -> 1-based (row, column) of a grid, in node order;
+    ``StructureError`` when ``d`` is not a grid."""
+    pos = [None] * d.n
+    for i, row in enumerate(_grid_rows(d), 1):
+        for j, v in enumerate(row, 1):
+            pos[v] = (i, j)
+    return dict(enumerate(pos))
 
 
 def grid_dimensions(d: Digraph) -> tuple[int, int]:
@@ -180,62 +203,53 @@ def _bordered(labels_by_pos: dict[tuple[int, int], str],
 
 
 def ts_recognize(ts: TilingSystem, g: Digraph) -> BorderedRun | None:
-    """Backtracking search for a valid bordered run; None when rejected."""
+    """Backtracking search for a valid bordered run; None when rejected.
+    Positions are filled row-major and states tried in declared order, so
+    the run found is the first in that order."""
     if g.bits != ts.bits:
         raise ValueError(f"system expects {ts.bits}-bit labels, "
                          f"grid has {g.bits}")
-    coords = grid_coordinates(g)
-    h, w = map(max, zip(*coords.values()))
-    labels = {coords[v]: g.label(v) for v in g.nodes()}
-
+    rows = _grid_rows(g)
+    h, w = len(rows), len(rows[0])
+    # the bordered run; an interior cell is read only once it is set
+    run = ([[BORDER] * (w + 2)]
+           + [[BORDER] + [None] * w + [BORDER] for _ in range(h)]
+           + [[BORDER] * (w + 2)])
+    cells_of = {label: tuple(cell(label, s) for s in ts.states)
+                for label in set(g.labels)}
     positions = [(i, j) for i in range(1, h + 1) for j in range(1, w + 1)]
-    assignment: dict[tuple[int, int], str] = {}
-
-    def cell_at(i: int, j: int) -> Cell | None:
-        if not (1 <= i <= h and 1 <= j <= w):
-            return BORDER
-        state = assignment.get((i, j))
-        if state is None:
-            return None
-        return cell(labels[(i, j)], state)
-
-    def block_ok(i: int, j: int) -> bool:
-        """Check the 2x2 block with top-left at bordered position (i, j),
-        interior coordinates; i, j may be 0 (border row/column)."""
-        quad = (cell_at(i, j), cell_at(i, j + 1),
-                cell_at(i + 1, j), cell_at(i + 1, j + 1))
-        if any(c is None for c in quad):
-            return True  # incomplete, checked later
-        return quad in ts.tiles
-
-    def search() -> bool:
-        """Depth-first over positions in order, trying states in order;
-        ``choice[k]`` is the index of the next state to try at position k."""
-        choice = [0] * len(positions)
-        k = 0
-        # a block is checked when its last interior cell is set
-        while 0 <= k < len(positions):
-            (i, j) = positions[k]
-            c = choice[k]
-            if c == len(ts.states):
-                choice[k] = 0
-                assignment.pop((i, j), None)
-                k -= 1
-                continue
-            choice[k] = c + 1
-            assignment[(i, j)] = ts.states[c]
-            # blocks whose last-filled corner is (i, j)
-            if all(block_ok(bi, bj)
-                   for bi in (i - 1, i) for bj in (j - 1, j)):
-                k += 1
-        return k == len(positions)
-
-    if search():
-        run = _bordered(labels, dict(assignment), h, w)
-        if any(b not in ts.tiles for b in run.blocks()):
-            raise AssertionError("search returned an invalid run")
-        return run
-    return None
+    options = [cells_of[g.label(rows[i - 1][j - 1])] for (i, j) in positions]
+    # per position, the top-left corners of the blocks whose last interior
+    # cell it is: up-left always, up-right in the last column, down-left in
+    # the last row, down-right at the last position
+    checks = [[(bi, bj) for bi in (i - 1, i) for bj in (j - 1, j)
+               if (bi < i or i == h) and (bj < j or j == w)]
+              for (i, j) in positions]
+    tiles = ts.tiles
+    # depth-first: choice[k] is the index of the next option at position k
+    choice = [0] * len(positions)
+    k = 0
+    while 0 <= k < len(positions):
+        c = choice[k]
+        if c == len(options[k]):
+            choice[k] = 0
+            k -= 1
+            continue
+        choice[k] = c + 1
+        i, j = positions[k]
+        run[i][j] = options[k][c]
+        for bi, bj in checks[k]:
+            top, bottom = run[bi], run[bi + 1]
+            if (top[bj], top[bj + 1], bottom[bj], bottom[bj + 1]) not in tiles:
+                break
+        else:
+            k += 1
+    if k < 0:
+        return None
+    found = BorderedRun(h, w, tuple(map(tuple, run)))
+    if any(b not in tiles for b in found.blocks()):
+        raise AssertionError("search returned an invalid run")
+    return found
 
 
 def ts_recognize_bruteforce(ts: TilingSystem, g: Digraph) -> bool:

@@ -254,6 +254,38 @@ def test_ts_recognize_verb(capsys, tmp_path):
     assert out["verdict"] == "rejected"
 
 
+def test_grid_check_names_the_failed_condition(capsys, tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(graphs.to_json_dict(
+        graphs.make(0, 2, ["", ""], []))))
+    code, out = run_cli(capsys, "grid-check", str(g))
+    assert out["verdict"] == "not-a-grid"
+    assert out["details"] == {
+        "failed_condition": 3,
+        "name": "iii (unique node that is a source for both relations)"}
+    g.write_text(json.dumps(graphs.to_json_dict(graphs.make(0, 1, [""], []))))
+    code, out = run_cli(capsys, "grid-check", str(g))
+    assert code == 1 and out["verdict"] == "input-error"
+    assert out["details"]["message"] == (
+        "StructureError: grid_validate needs a 2-relational digraph")
+
+
+def test_grid_verbs_on_150_by_150_grids(capsys, tmp_path):
+    from disto.tiling import ts_to_json_dict
+    ts = tmp_path / "ts.json"
+    ts.write_text(json.dumps(ts_to_json_dict(zoo.even_width_tiling_system())))
+    for width, verdict in ((150, "accepted"), (149, "rejected")):
+        g = tmp_path / f"grid{width}.json"
+        code, _ = run_cli(capsys, "gen", "grid", "--height", "150",
+                          "--width", str(width), "--out", str(g))
+        assert code == 0
+        code, out = run_cli(capsys, "grid-check", str(g))
+        assert out["verdict"] == "is-grid"
+        assert out["details"] == {"height": 150, "width": width}
+        code, out = run_cli(capsys, "ts-recognize", str(ts), str(g))
+        assert out["verdict"] == verdict
+
+
 def test_empty_nldag_verb(capsys, tmp_path):
     obj = {
         "states": [{"name": "p", "kind": "P"}],

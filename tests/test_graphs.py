@@ -171,6 +171,81 @@ def test_ordered_ditree_enumeration_shapes():
     assert len(trees) == 4
 
 
+def _is_ordered_ditree_reference(pd) -> bool:
+    """The quadratic predicate that ``is_ordered_ditree`` replaced."""
+    d = pd.digraph
+    # edges of different relations must not overlap
+    seen_pairs = set()
+    for (r, s, t) in d.edges:
+        if (s, t) in seen_pairs:
+            return False
+        seen_pairs.add((s, t))
+    # every node reaches the root by exactly one directed path
+    out_all = {v: [t for (r, s, t) in d.edges if s == v] for v in d.nodes()}
+    for v in d.nodes():
+        path, cur = {v}, v
+        while cur != pd.point:
+            nxt = out_all[cur]
+            if len(nxt) != 1 or nxt[0] in path:
+                return False
+            cur = nxt[0]
+            path.add(cur)
+    if len(d.edges) != d.n - 1:
+        return False
+    # ordered condition: at most one incoming i-neighbor, and an incoming
+    # (i+1)-neighbor implies an incoming i-neighbor
+    for v in d.nodes():
+        for i in range(1, d.rels + 1):
+            if len(d.in_neighbors(i, v)) > 1:
+                return False
+        for i in range(1, d.rels):
+            if d.in_neighbors(i + 1, v) and not d.in_neighbors(i, v):
+                return False
+    return True
+
+
+def _one_edge_mutations(pd):
+    """``pd`` pointed at each of its nodes, and with one edge deleted,
+    reversed, moved to another relation or target, or added."""
+    d = pd.digraph
+    rels = range(1, d.rels + 1)
+    for v in d.nodes():
+        yield d.at(v)
+    for e in sorted(d.edges):
+        r, s, t = e
+        rest = d.edges - {e}
+        changed = [rest, rest | {(r, t, s)}]
+        changed += [rest | {(q, s, t)} for q in rels if q != r]
+        changed += [rest | {(r, s, u)} for u in d.nodes() if u != t]
+        for edges in changed:
+            yield Digraph(d.bits, d.rels, d.labels, edges).at(pd.point)
+    for e in itertools.product(rels, d.nodes(), d.nodes()):
+        if e not in d.edges:
+            yield Digraph(d.bits, d.rels, d.labels, d.edges | {e}).at(pd.point)
+
+
+def test_ordered_ditree_predicate_agrees_with_the_reference():
+    # rooted ditrees are ordered only where no node has two children
+    trees = list(enumerate_rooted_ditrees(5, bits=0))
+    for arity in (1, 2, 3):
+        trees += enumerate_ordered_ditrees(5, bits=0, arity=arity)
+    verdicts = {True: 0, False: 0}
+    for t in trees:
+        for m in [t, *_one_edge_mutations(t)]:
+            got = is_ordered_ditree(m)
+            assert got == _is_ordered_ditree_reference(m), (
+                sorted(m.digraph.edges), m.point)
+            verdicts[got] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_ordered_ditree_predicate_on_a_long_chain():
+    n = 5000
+    chain = graphs.ditree_from_parents([None] + list(range(n - 1)))
+    assert is_ordered_ditree(chain)
+    assert not is_ordered_ditree(chain.digraph.at(n - 1))
+
+
 def test_rooted_ditree_enumeration_points_at_root():
     for t in enumerate_rooted_ditrees(3, bits=0):
         assert not t.digraph.out_neighbors(1, t.point)

@@ -5,9 +5,10 @@ import pytest
 
 from disto import graphs, zoo
 from disto.graphs import Digraph, grid, make
-from disto.tiling import (BORDER, StructureError, TilingSystem, cell,
-                          grid_condition_name, grid_coordinates,
-                          grid_dimensions, grid_validate, is_partial_injective,
+from disto.tiling import (BORDER, BorderedRun, StructureError, TilingSystem,
+                          _bordered, cell, grid_condition_name,
+                          grid_coordinates, grid_dimensions, grid_validate,
+                          is_partial_injective,
                           ts_from_json_dict, ts_recognize,
                           ts_recognize_bruteforce, ts_to_json_dict)
 
@@ -75,7 +76,9 @@ def test_exactness_small_sweep():
     profiles = {(g.n, len(g.relation(1)), len(g.relation(2))): g
                 for g in grids3}
     for d in graphs.enumerate_digraphs(3, bits=0, rels=2):
-        is_grid = grid_validate(d) is None
+        failed = grid_validate(d)
+        assert failed == grid_validate_reference(d)
+        is_grid = failed is None
         candidate = profiles.get((d.n, len(d.relation(1)),
                                   len(d.relation(2))))
         want = candidate is not None and graphs.are_isomorphic(d, candidate)
@@ -193,3 +196,227 @@ def test_json_roundtrip():
     ts = zoo.even_width_tiling_system()
     obj = ts_to_json_dict(ts)
     assert ts_from_json_dict(obj) == ts
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the quadratic grid checks and the closure-based
+# search that the linear ones replaced, kept to cross-check them
+
+def _reaches_sink_everywhere_reference(d: Digraph, rel: int) -> bool:
+    # with functionality this amounts to acyclicity of the relation
+    for start in d.nodes():
+        seen = {start}
+        cur = start
+        while True:
+            out = d.out_neighbors(rel, cur)
+            if not out:
+                break
+            cur = out[0]
+            if cur in seen:
+                return False
+            seen.add(cur)
+    return True
+
+
+def grid_validate_reference(d: Digraph) -> int | None:
+    if d.rels != 2:
+        raise StructureError("grid_validate needs a 2-relational digraph")
+    r1, r2 = d.relation(1), d.relation(2)
+    if not (is_partial_injective(r1) and is_partial_injective(r2)):
+        return 1
+    if not (_reaches_sink_everywhere_reference(d, 1)
+            and _reaches_sink_everywhere_reference(d, 2)):
+        return 2
+    double_sources = [v for v in d.nodes()
+                      if not d.in_neighbors(1, v) and not d.in_neighbors(2, v)]
+    if len(double_sources) != 1:
+        return 3
+    h_sources = {v for v in d.nodes() if not d.in_neighbors(2, v)}
+    for v in h_sources:
+        for u in d.in_neighbors(1, v) + d.out_neighbors(1, v):
+            if u not in h_sources:
+                return 4
+    for v in d.nodes():
+        if d.out_neighbors(1, v) and d.out_neighbors(2, v):
+            w = d.out_neighbors(1, v)[0]
+            if not d.out_neighbors(2, w):
+                return 5
+    comp12 = {(a, c) for (a, b) in r1 for (b2, c) in r2 if b == b2}
+    comp21 = {(a, c) for (a, b) in r2 for (b2, c) in r1 if b == b2}
+    if comp12 != comp21:
+        return 6
+    return None
+
+
+def grid_coordinates_reference(d: Digraph) -> dict[int, tuple[int, int]]:
+    failed = grid_validate_reference(d)
+    if failed is not None:
+        raise StructureError(
+            f"not a grid: failed condition {grid_condition_name(failed)}")
+
+    def depth(v: int, rel: int) -> int:
+        k, cur = 0, v
+        while d.in_neighbors(rel, cur):
+            cur = d.in_neighbors(rel, cur)[0]
+            k += 1
+        return k
+
+    return {v: (depth(v, 1) + 1, depth(v, 2) + 1) for v in d.nodes()}
+
+
+def ts_recognize_reference(ts: TilingSystem, g: Digraph) -> BorderedRun | None:
+    if g.bits != ts.bits:
+        raise ValueError(f"system expects {ts.bits}-bit labels, "
+                         f"grid has {g.bits}")
+    coords = grid_coordinates_reference(g)
+    h, w = map(max, zip(*coords.values()))
+    labels = {coords[v]: g.label(v) for v in g.nodes()}
+
+    positions = [(i, j) for i in range(1, h + 1) for j in range(1, w + 1)]
+    assignment: dict[tuple[int, int], str] = {}
+
+    def cell_at(i: int, j: int) -> str | None:
+        if not (1 <= i <= h and 1 <= j <= w):
+            return BORDER
+        state = assignment.get((i, j))
+        if state is None:
+            return None
+        return cell(labels[(i, j)], state)
+
+    def block_ok(i: int, j: int) -> bool:
+        quad = (cell_at(i, j), cell_at(i, j + 1),
+                cell_at(i + 1, j), cell_at(i + 1, j + 1))
+        if any(c is None for c in quad):
+            return True  # incomplete, checked later
+        return quad in ts.tiles
+
+    def search() -> bool:
+        choice = [0] * len(positions)
+        k = 0
+        while 0 <= k < len(positions):
+            (i, j) = positions[k]
+            c = choice[k]
+            if c == len(ts.states):
+                choice[k] = 0
+                assignment.pop((i, j), None)
+                k -= 1
+                continue
+            choice[k] = c + 1
+            assignment[(i, j)] = ts.states[c]
+            if all(block_ok(bi, bj)
+                   for bi in (i - 1, i) for bj in (j - 1, j)):
+                k += 1
+        return k == len(positions)
+
+    if search():
+        return _bordered(labels, dict(assignment), h, w)
+    return None
+
+
+def _shuffled(rng: random.Random, g: Digraph) -> Digraph:
+    """``g`` with its node ids permuted at random."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    labels = [""] * g.n
+    for v in g.nodes():
+        labels[perm[v]] = g.label(v)
+    return make(g.bits, g.rels, labels,
+                [(r, perm[s], perm[t]) for r, s, t in g.edges])
+
+
+def _one_edge_mutations(rng: random.Random, d: Digraph, per_kind: int):
+    """Up to ``per_kind`` digraphs for each way of changing one edge of
+    ``d``: deleted, added, reversed, moved to the other relation."""
+    edges = sorted(d.edges)
+    absent = [(r, s, t) for r in (1, 2) for s in d.nodes() for t in d.nodes()
+              if (r, s, t) not in d.edges]
+    for e in rng.sample(edges, min(per_kind, len(edges))):
+        r, s, t = e
+        rest = d.edges - {e}
+        yield Digraph(0, 2, d.labels, rest)
+        yield Digraph(0, 2, d.labels, rest | {(r, t, s)})
+        yield Digraph(0, 2, d.labels, rest | {(3 - r, s, t)})
+    for e in rng.sample(absent, min(per_kind, len(absent))):
+        yield Digraph(0, 2, d.labels, d.edges | {e})
+
+
+def _random_two_relation_digraph(rng: random.Random, n: int) -> Digraph:
+    """Mostly partial injections (a random matching per relation), now and
+    then with extra random edges."""
+    edges = set()
+    for r in (1, 2):
+        srcs, dsts = list(range(n)), list(range(n))
+        rng.shuffle(srcs)
+        rng.shuffle(dsts)
+        k = rng.randint(0, n)
+        edges |= {(r, s, t) for s, t in zip(srcs[:k], dsts[:k])}
+    if rng.random() < 0.3:
+        for _ in range(rng.randint(1, 2)):
+            edges.add((rng.choice((1, 2)), rng.randrange(n), rng.randrange(n)))
+    return make(0, 2, [""] * n, edges)
+
+
+def _grid_corpus():
+    """Random 2-relation digraphs with 4 to 9 nodes, and shuffled grids up
+    to 8 x 8 with their one-edge mutations; every digraph with up to 3
+    nodes is checked in test_exactness_small_sweep."""
+    rng = random.Random(2020)
+    for _ in range(3000):
+        yield _random_two_relation_digraph(rng, rng.randint(4, 9))
+    for h in range(1, 9):
+        for w in range(1, 9):
+            g = _shuffled(rng, grid(h, w))
+            yield g
+            yield from _one_edge_mutations(rng, g, 6)
+
+
+def test_linear_grid_checks_agree_with_the_references():
+    failures, grids = {}, 0
+    for d in _grid_corpus():
+        failed = grid_validate(d)
+        assert failed == grid_validate_reference(d), sorted(d.edges)
+        failures[failed] = failures.get(failed, 0) + 1
+        if failed is None:
+            grids += 1
+            coords = grid_coordinates(d)
+            want = grid_coordinates_reference(d)
+            assert list(coords.items()) == list(want.items()), sorted(d.edges)
+            assert grid_dimensions(d) == max(want.values())
+        else:
+            with pytest.raises(StructureError) as e:
+                grid_coordinates(d)
+            assert e.value.condition == failed
+    # every condition fails somewhere in the corpus; every shuffled grid
+    # is a grid
+    assert set(failures) == {None, 1, 2, 3, 4, 5, 6}
+    assert grids >= 64
+
+
+def test_recognize_returns_the_reference_run():
+    rng = random.Random(93)
+    states = ("A", "B", "C")
+    base = zoo.all_blocks_tiling_system(states=states, bits=1)
+    labeled = [TilingSystem(bits=1, states=(), tiles=frozenset())]
+    for keep in (0.5, 0.6, 0.7, 0.8) * 3:
+        tiles = frozenset(t for t in base.tiles if rng.random() < keep)
+        labeled.append(TilingSystem(bits=1, states=states, tiles=tiles))
+    two = zoo.all_blocks_tiling_system(states=("A", "B"))
+    unlabeled = [zoo.even_width_tiling_system(),
+                 zoo.all_blocks_tiling_system(), two,
+                 zoo.empty_tiling_system(),
+                 TilingSystem(0, ("A", "B"), frozenset(
+                     t for t in two.tiles if rng.random() < 0.4))]
+    verdicts = set()
+    for systems, bits in ((labeled, 1), (unlabeled, 0)):
+        for ts in systems:
+            for h in range(1, 4):
+                for w in range(1, 4):
+                    labels = ["".join(rng.choice("01") for _ in range(bits))
+                              for _ in range(h * w)]
+                    g = grid(h, w, labels=labels, bits=bits)
+                    run = ts_recognize(ts, g)
+                    want = ts_recognize_reference(ts, g)
+                    assert run == want
+                    verdicts.add(run is not None)
+                    assert ts_recognize(ts, _shuffled(rng, g)) == want
+    assert verdicts == {True, False}
