@@ -15,32 +15,10 @@ from itertools import compress
 
 from .automata import (DEFAULT_HORIZON_CAP, DistributedAutomaton,
                        HorizonExceeded, RunResult, _accepting_columns,
-                       _interned)
+                       _interned, _lasso_start, _weights)
 from .graphs import Digraph, PointedDigraph, _cached
 
 Trace = tuple[str, ...]
-
-
-def trace_push(t: Trace, q: str) -> Trace:
-    """Append q unless it equals the last entry (pushlast)."""
-    return t if t and t[-1] == q else t + (q,)
-
-
-def trace_pop(t: Trace) -> Trace:
-    """Drop the first entry unless the trace is a singleton (popfirst)."""
-    return t if len(t) <= 1 else t[1:]
-
-
-def trace_first(t: Trace) -> str:
-    return t[0]
-
-
-def trace_last(t: Trace) -> str:
-    return t[-1]
-
-
-def is_valid_trace(t: Trace) -> bool:
-    return len(t) >= 1 and all(a != b for a, b in zip(t, t[1:]))
 
 
 class TimingError(ValueError):
@@ -137,36 +115,56 @@ class AsyncConfiguration:
     time: int
 
 
-@dataclass(frozen=True, eq=False)
+# The timed lasso hash adds, per edge, a weight times the polynomial hash
+# of the buffer's content: ids x_1..x_k, first to last, hash to the sum of
+# (x_i + 1) * BASE^(k-i) mod PRIME.
+_PRIME = (1 << 61) - 1
+_BASE = 0x5DEECE66D
+_INV_BASE = pow(_BASE, -1, _PRIME)
+
+
+@dataclass(eq=False)
 class AsyncRunResult(RunResult):
     """A timed run from time 0 through the lasso prefix and one period.
 
-    ``ids`` holds the node states per time step, as in ``RunResult``.
+    ``initial`` and ``log`` hold the node states, as in ``RunResult``.
     Each buffer is a suffix of its source's history: the source's state
-    ids with consecutive repeats dropped.  ``heads`` holds each buffer's
-    first index into that history, per time step.  ``configs`` decodes
-    every configuration, buffers included, once, on first access."""
+    ids with consecutive repeats dropped, kept whole in ``history``.
+    Every buffer starts at index 0 of its history, and ``moves`` holds,
+    per time step, the edges whose buffer popped: whose first index
+    moved on by one.  ``configs`` replays every configuration, buffers
+    included, once, on first access."""
 
     edge_order: tuple[tuple[int, int, int], ...]
-    heads: tuple[tuple[int, ...], ...]
-    history: tuple[tuple[int, ...], ...]
+    moves: list[list[int]]
+    history: list[list[int]]
 
     @_cached
     def configs(self) -> tuple[AsyncConfiguration, ...]:
         name = self.names.__getitem__
         src = [s for _, s, _ in self.edge_order]
-        end = [1] * len(self.history)  # history entries up to time t
-        configs, last = [], self.ids[0]
-        for t, (conf, head) in enumerate(zip(self.ids, self.heads)):
-            for v, (q, p) in enumerate(zip(conf, last)):
-                if q != p:
-                    end[v] += 1
-            last = conf
-            buffers = tuple(tuple(map(name, self.history[s][h:end[s]]))
-                            for s, h in zip(src, head))
-            configs.append(AsyncConfiguration(tuple(map(name, conf)),
-                                              buffers, t))
-        return tuple(configs)
+        history = self.history
+        return tuple(
+            AsyncConfiguration(tuple(map(name, state)), tuple(
+                tuple(map(name, history[s][h:end[s]]))
+                for s, h in zip(src, head)), t)
+            for t, (state, head, end) in enumerate(_timed_replay(
+                self.initial, self.log, self.moves, len(src))))
+
+
+def _timed_replay(initial, log, moves, edges: int):
+    """Per time step from 0 on, the node states, each buffer's first index
+    into its source's history and each history's length, as three lists
+    updated in place."""
+    state, head, end = list(initial), [0] * edges, [1] * len(initial)
+    yield state, head, end
+    for (nodes, ids), popped in zip(log, moves):
+        for v, q in zip(nodes, ids):
+            state[v] = q
+            end[v] += 1
+        for e in popped:
+            head[e] += 1
+        yield state, head, end
 
 
 def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
@@ -185,7 +183,22 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
     buffer heads in slot 1), so timed and synchronous runs of ``a`` share
     one transition memo.  An active node whose own state and buffer heads
     are unchanged since it last computed keeps its state without a
-    lookup: its key, and so its memoised transition, is the same."""
+    lookup: its key, and so its memoised transition, is the same.
+
+    The run logs, per step, the nodes that changed with their new ids and
+    the edges that popped.  The tail's lasso key is the node states and
+    the buffer contents.  Its hash is that of ``_run_rounds`` plus, per
+    edge e, a weight times the polynomial hash of e's buffer, which
+    equals ``P[len] - P[head] * BASE^(len - head)`` over the prefix
+    hashes P of the source's history.  The buffer hashes are computed
+    once, when the tail starts, and each edge keeps its hash and
+    ``BASE^(length - 1)`` from then on: a push of q by node v turns each
+    hash c of a buffer out of v into ``c * BASE + q + 1``, and a pop
+    subtracts the first entry's term.  So the log and the hash cost in
+    proportion to the nodes that change and the buffers that move.  A
+    tail step that changes no node and pops no buffer repeats the last
+    configuration; a hash hit is confirmed against the replayed node
+    states and buffer contents."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if a.rels != 1:
@@ -199,31 +212,53 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
     _check_node_bits(steps, d.n)
     ix = _interned(a, 1)
     memo, bits = ix.memo, ix.bits
+    n, m = d.n, len(order)
     src, dst = [e[1] for e in order], [e[2] for e in order]
     into: list[list[int]] = [[] for _ in d.nodes()]
-    for e, v in enumerate(dst):
+    out_of: list[list[int]] = [[] for _ in d.nodes()]
+    for e, (s, v) in enumerate(zip(src, dst)):
         into[v].append(e)
-    stale = [True] * d.n  # v's key may have changed since v last computed
+        out_of[s].append(e)
+    stale = [True] * n  # v's key may have changed since v last computed
 
     state = [ix.intern(a.initial_state(x)) for x in d.labels]
     history = [[q] for q in state]
-    head = [0] * len(order)
+    head = [0] * m
     head_bit = [bits[state[s]][1] for s in src]  # slot-1 bit of each head
-    ids, heads = [tuple(state)], [tuple(head)]
+    start, log, moves = tuple(state), [], []
+    weight = _weights(n + m)  # node v's weight, then edge e's at n + e
 
-    def lasso(conf):  # a configuration: node states and buffer contents
-        return conf, tuple(tuple(history[s][h:]) for s, h in zip(src, head))
+    def buffer_hashes():  # each buffer's content hash and first power
+        content, top = [], []
+        for s, k in zip(src, head):
+            c, p = 0, _INV_BASE
+            for x in history[s][k:]:
+                c, p = (c * _BASE + x + 1) % _PRIME, p * _BASE % _PRIME
+            content.append(c)
+            top.append(p)
+        return content, top
 
-    # the tail starts at step len(steps): its configuration may recur
-    seen = {} if steps else {lasso(ids[0]): 0}
-    all_nodes, all_edges = d.nodes(), range(len(order))
+    def same(replayed):  # the configuration now, replayed at some time
+        before, heads, ends = replayed
+        return before == state and all(
+            history[s][h:ends[s]] == history[s][k:]
+            for s, h, k in zip(src, heads, head))
+
+    # the tail starts at step len(steps): its configuration may recur.  The
+    # lasso hash h is kept less that configuration's hash.
+    seen, clash, h = {0: len(steps)}, {}, 0
+    if not steps:
+        content, top = buffer_hashes()
+    all_nodes, all_edges = d.nodes(), range(m)
     for t in range(1, horizon + 1):
-        if t <= len(steps):
+        tail = t > len(steps)
+        if tail:
+            nodes, edges = all_nodes, all_edges
+        else:
             step = steps[t - 1]
             nodes = compress(all_nodes, step.nodes)
             edges = compress(all_edges, step.edges)
-        else:
-            nodes, edges = all_nodes, all_edges
+        changed, new, popped = [], [], []
         for v in nodes:  # reads only v's state and its buffers' heads
             if not stale[v]:
                 continue
@@ -233,30 +268,49 @@ def async_run(a: DistributedAutomaton, d: Digraph, timing: Timing,
             q = memo.get(key)
             if q is None:
                 q = memo[key] = ix.intern(a.step(*ix.decode(key)))
-            if q != state[v]:
-                state[v] = q
-                history[v].append(q)  # the push onto every buffer out of v
-            else:
+            if q == state[v]:
                 stale[v] = False
+                continue
+            if tail:
+                h += weight[v] * (q - state[v])
+                for e in out_of[v]:
+                    c = (content[e] * _BASE + q + 1) % _PRIME
+                    h += weight[n + e] * (c - content[e])
+                    content[e], top[e] = c, top[e] * _BASE % _PRIME
+            state[v] = q
+            history[v].append(q)  # the push onto every buffer out of v
+            changed.append(v)
+            new.append(q)
         for e in edges:  # the pop, unless the buffer is a singleton
-            h, trace = head[e] + 1, history[src[e]]
-            if h < len(trace):
-                head[e] = h
-                head_bit[e] = bits[trace[h]][1]
+            k, trace = head[e], history[src[e]]
+            if k + 1 < len(trace):
+                if tail:
+                    c = (content[e] - (trace[k] + 1) * top[e]) % _PRIME
+                    h += weight[n + e] * (c - content[e])
+                    content[e], top[e] = c, top[e] * _INV_BASE % _PRIME
+                head[e] = k + 1
+                head_bit[e] = bits[trace[k + 1]][1]
                 stale[dst[e]] = True
-        conf = tuple(state)
-        if t >= len(steps):
-            first = seen.setdefault(lasso(conf), t)
-            if first != t:
+                popped.append(e)
+        if tail:
+            if not (changed or popped):  # the last configuration again
+                first = t - 1
                 break
-        ids.append(conf)
-        heads.append(tuple(head))
+            first = seen.setdefault(h, t)
+            if first != t:
+                first = _lasso_start(first, clash, h, t, _timed_replay(
+                    start, log, moves, m), same)
+                if first is not None:
+                    break
+        elif t == len(steps):
+            content, top = buffer_hashes()
+        log.append((changed, new))
+        moves.append(popped)
     else:
         raise HorizonExceeded(f"no lasso within {horizon} steps")
-    return AsyncRunResult(tuple(ids), ix.names, prefix=first,
-                          period=t - first, edge_order=order,
-                          heads=tuple(heads),
-                          history=tuple(map(tuple, history)))
+    return AsyncRunResult(start, log, state, ix.names, prefix=first,
+                          period=t - first, edge_order=order, moves=moves,
+                          history=history)
 
 
 def decide_acceptance_timed(a: DistributedAutomaton, pd: PointedDigraph,

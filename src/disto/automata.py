@@ -12,6 +12,7 @@ decided exactly through lasso detection.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -297,19 +298,54 @@ def _infer_bits(a) -> int:
     return widths.pop()
 
 
-@dataclass(frozen=True, eq=False)
+def _replay(initial: Sequence[int], log: Iterable) -> Iterator[list[int]]:
+    """The configuration at each time step of a run that starts in
+    ``initial`` and changes as ``log`` says, as one list updated in
+    place."""
+    conf = list(initial)
+    yield conf
+    for nodes, ids in log:
+        for v, q in zip(nodes, ids):
+            conf[v] = q
+        yield conf
+
+
+# not frozen: a frozen dataclass sets each field through object.__setattr__,
+# about a microsecond for these six, a tenth of a run on a small digraph
+@dataclass(eq=False)
 class RunResult:
     """A run from time 0 through the lasso prefix and one period.
 
-    ``ids`` holds its configurations as interned state ids and ``names``
-    is the automaton's id -> state list (only appended to), so a result
-    decodes just what it is asked for: ``configs`` all of it, once, on
-    first access; ``state_at`` and ``visited_states`` one node's column."""
+    The run is kept as its initial configuration ``initial``, in interned
+    state ids, and a log with one entry per later time step: the nodes
+    whose state changed in that step, in increasing order, and their new
+    ids.  ``closing`` is the configuration the lasso closes on, at time
+    ``prefix`` and again at ``prefix + period``.  ``names`` is the
+    automaton's id -> state list (only appended to).  So a result costs
+    in proportion to the nodes and the state changes, and replays just
+    what it is asked for: ``ids`` and ``configs`` every configuration,
+    once, on first access; ``state_at`` and ``visited_states`` one
+    node's column."""
 
-    ids: tuple[tuple[int, ...], ...]
+    initial: tuple[int, ...]
+    log: list[tuple[list[int], list[int]]]
+    closing: list[int]
     names: list = field(repr=False)
     prefix: int
     period: int
+
+    def _column(self, v: int, upto: int | None = None) -> list[int]:
+        """Node ``v``'s ids in the order it takes them, through time
+        ``upto`` (default: the whole run)."""
+        column = [self.initial[v]]
+        for nodes, ids in self.log[:upto]:
+            if v in nodes:
+                column.append(ids[nodes.index(v)])
+        return column
+
+    @_cached
+    def ids(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _replay(self.initial, self.log)))
 
     @_cached
     def configs(self) -> tuple[tuple[str, ...], ...]:
@@ -317,13 +353,50 @@ class RunResult:
         return tuple(tuple(map(name, c)) for c in self.ids)
 
     def state_at(self, t: int, v: int) -> str:
-        if t >= len(self.ids):
+        if t > len(self.log):
             t = self.prefix + (t - self.prefix) % self.period
-        return self.names[self.ids[t][v]]
+        return self.names[self._column(v, t)[-1]]
 
     def visited_states(self, v: int) -> set[str]:
         names = self.names
-        return {names[i] for i in {c[v] for c in self.ids}}
+        return {names[i] for i in set(self._column(v))}
+
+
+_weight_table: list[int] = []
+_weight_bits = random.Random(0x1A550).getrandbits
+
+
+def _weights(count: int) -> list[int]:
+    """At least ``count`` lasso-hash weights, one per node (and, in timed
+    runs, per edge): seeded 61-bit draws, so the same in every process
+    whatever its ``PYTHONHASHSEED``.  Node v in state id q adds
+    ``weights[v] * q`` to a configuration's hash.  The table is shared
+    and only grows; entry i is always the i-th draw."""
+    missing = count - len(_weight_table)
+    if missing > 0:
+        _weight_table.extend(_weight_bits(61) for _ in range(missing))
+    return _weight_table
+
+
+def _lasso_start(first: int, clash: dict, h: int, t: int,
+                 replay: Iterator, same) -> int | None:
+    """After time ``t``'s configuration hashed to ``h``, which time
+    ``first`` hashed to before: the earlier time whose configuration
+    ``same`` confirms equal to the current one, from the configurations
+    ``replay`` yields one per time step from 0 on; or None, after noting
+    ``t`` in ``clash`` (hash -> later times that share it).  So a hash
+    collision never closes a lasso."""
+    times = iter([first, *clash.get(h, ())])
+    want = next(times)
+    for s, conf in enumerate(replay):
+        if s == want:
+            if same(conf):
+                return s
+            want = next(times, None)
+            if want is None:
+                break
+    clash.setdefault(h, []).append(t)
+    return None
 
 
 class _Interned:
@@ -382,6 +455,13 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
     node order, only the nodes that read a node whose state changed in the
     last round: its out-neighbours, and in synchronous runs the node
     itself.  Every other node's key is unchanged, so it keeps its state.
+    Lasso detection follows the changes too: a round that changes no
+    node repeats the last configuration, and otherwise the round's
+    changes update one hash, the sum of ``_weights()[v] * id`` over the
+    nodes, which a dict maps to the first round that reached it.  A hit
+    is confirmed by replaying the log (``_lasso_start``).  The run keeps
+    its initial configuration and the log of changes, not a copy per
+    round.
     A key missing from the memo is decoded and passed to ``a.step``; ``a``
     needs nothing else but a ``__dict__`` for its tables (one per relation
     count), so states may be any hashable values (``formulas.MuEvaluator``
@@ -397,11 +477,12 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
     if not own:
         received[::stride] = [bits[ix.intern(x)][0] for x in letters]
     first = 0 if own else 1  # the slots a node's state change rewrites
-    conf = tuple(state)
-    seen, configs = {conf: 0}, [conf]
+    start, weight = tuple(state), _weights(d.n)
+    h = 0  # the lasso hash, less the initial configuration's
+    seen, clash, log = {h: 0}, {}, []
     dirty = range(d.n)
     for t in range(1, horizon + 1):
-        changed = []
+        changed, new = [], []
         for v in dirty:
             key = 0
             for j in slots[v]:
@@ -410,26 +491,30 @@ def _run_rounds(a, d: Digraph, initial: Sequence[str],
             if q is None:
                 q = memo[key] = ix.intern(a.step(*ix.decode(key)))
             if q != state[v]:  # other nodes read the old state in received
+                h += weight[v] * (q - state[v])
                 state[v] = q
                 changed.append(v)
-        if changed:
-            readers = d._readers
-            dirty = set(changed) if own else set()
-            for v in changed:
-                received[v * stride + first:(v + 1) * stride] = \
-                    bits[state[v]][first:]
-                dirty.update(readers[v])
-            dirty = sorted(dirty)
-            conf = tuple(state)
-        else:
-            dirty = ()
-        prefix = seen.setdefault(conf, t)
-        if prefix != t:
+                new.append(q)
+        if not changed:  # the last configuration again
+            prefix = t - 1
             break
-        configs.append(conf)
+        readers = d._readers
+        dirty = set(changed) if own else set()
+        for v in changed:
+            received[v * stride + first:(v + 1) * stride] = \
+                bits[state[v]][first:]
+            dirty.update(readers[v])
+        dirty = sorted(dirty)
+        prefix = seen.setdefault(h, t)
+        if prefix != t:
+            prefix = _lasso_start(prefix, clash, h, t, _replay(start, log),
+                                  state.__eq__)
+            if prefix is not None:
+                break
+        log.append((changed, new))
     else:
         raise HorizonExceeded(f"no lasso within {horizon} steps")
-    return RunResult(tuple(configs), ix.names, prefix=prefix,
+    return RunResult(start, log, state, ix.names, prefix=prefix,
                      period=t - prefix)
 
 
@@ -458,10 +543,15 @@ def accepted_nodes(a: DistributedAutomaton, d: Digraph) -> frozenset[int]:
 
 
 def _accepting_columns(run, accepting) -> frozenset[int]:
-    """The nodes whose column of ``run.ids`` holds an accepting id."""
+    """The nodes whose column of ``run.ids`` holds an accepting id, read
+    off the initial configuration and the log."""
     hit = {i for i, q in enumerate(run.names) if q in accepting}
-    return frozenset(v for v, column in enumerate(zip(*run.ids))
-                     if not hit.isdisjoint(column))
+    out = {v for v, q in enumerate(run.initial) if q in hit}
+    for nodes, ids in run.log:
+        for v, q in zip(nodes, ids):
+            if q in hit:
+                out.add(v)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -515,20 +605,32 @@ def state_diagram(a: DistributedAutomaton) -> dict[str, set[str]]:
 
 
 def _has_nontrivial_cycle(succ: dict[str, set[str]]) -> bool:
-    color: dict[str, int] = {}
-
-    def dfs(q: str) -> bool:
-        color[q] = 1
-        for t in succ[q]:
-            if t == q:
-                continue
-            c = color.get(t, 0)
-            if c == 1 or (c == 0 and dfs(t)):
-                return True
-        color[q] = 2
-        return False
-
-    return any(color.get(q, 0) == 0 and dfs(q) for q in succ)
+    """Whether the successor map has a cycle other than a self-loop: a
+    depth-first search from each unvisited state in ``succ`` order, on an
+    explicit stack of (state, its remaining successors), so the depth of
+    a long chain is no recursion."""
+    color: dict[str, int] = {}  # 1: on the stack, 2: done
+    for root in succ:
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            q, targets = stack[-1]
+            for t in targets:
+                if t == q:
+                    continue
+                c = color.get(t, 0)
+                if c == 1:
+                    return True
+                if c == 0:
+                    color[t] = 1
+                    stack.append((t, iter(succ[t])))
+                    break
+            else:
+                color[q] = 2
+                stack.pop()
+    return False
 
 
 def classify(a: DistributedAutomaton) -> AutomatonClass:

@@ -701,7 +701,7 @@ class MuEvaluator:
         initial = [frozenset(f"P{i}" for i, b in enumerate(lab, 1) if b == "1")
                    for lab in d.labels]
         run = _run_rounds(self, d, initial, None, DEFAULT_HORIZON_CAP)
-        final, names = run.ids[-1], run.names
+        final, names = run.closing, run.names
         vals = {name: frozenset(v for v, q in enumerate(final)
                                 if name in names[q])
                 for name in self.system.variables}

@@ -149,15 +149,17 @@ def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
     by_index = sorted(traces)
     index = {t: i for i, t in enumerate(by_index)}
     ext_unions = []  # per trace, the nonempty unions of its extensions
+    grow = []  # per trace, its last state and q -> the trace pushing q gives
     for t in by_index:
-        mask = 1 << index[t]
+        pushed = {t[-1]: index[t]}
         for q in succ[t[-1]]:
             longer = t + (q,)
             if longer in index:
-                mask |= 1 << index[longer]
+                pushed[q] = index[longer]
+        grow.append((t[-1], pushed))
         # the sum of distinct single bits is their union
         ext_unions.append([sum(u) for u in itertools.islice(
-            subsets(1 << i for i in _bits_of(mask)), 1, None)])
+            subsets(1 << i for i in sorted(pushed.values())), 1, None)])
 
     def successors_of(history: int):
         seen = set()
@@ -179,6 +181,12 @@ def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
             lasts_memo[history] = got
         return got
 
+    # delta reads only a trace's last state and the history's last states:
+    # the step memo maps the last states to a row, last state -> target,
+    # and rows maps each history met to its row
+    step_memo: dict[frozenset, dict[str, str]] = {}
+    rows: dict[int, dict[str, str]] = {}
+
     enabled: dict[int, set[int]] = {}
     # base: {singleton traces of N} enables q.push(delta(q, N))
     for nstates in subsets(start_states):
@@ -186,14 +194,14 @@ def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
         for q in nstates:
             history |= 1 << index[(q,)]
         bucket = enabled.setdefault(history, set())
+        row = step_memo.setdefault(nstates, {})
         for q in start_states:
-            target = a.step(q, (nstates,))
+            target = row[q] = a.step(q, (nstates,))
             t = (q,) if target == q else (q, target)
             bucket.add(index[t])
 
     work = list(enabled)
     succ_cache: dict[int, tuple] = {}
-    step_memo: dict[tuple[int, int], int] = {}
     while work:
         history = work.pop()
         current = list(enabled[history])
@@ -204,16 +212,15 @@ def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
         for h2 in nexts:
             bucket = enabled.setdefault(h2, set())
             before = len(bucket)
+            row = rows.get(h2)
+            if row is None:
+                row = rows[h2] = step_memo.setdefault(lasts_of(h2), {})
             for ti in current:
-                key = (ti, h2)
-                out = step_memo.get(key)
-                if out is None:
-                    trace = by_index[ti]
-                    q2 = a.step(trace[-1], (lasts_of(h2),))
-                    out = index[trace if q2 == trace[-1]
-                                else trace + (q2,)]
-                    step_memo[key] = out
-                bucket.add(out)
+                q, pushed = grow[ti]
+                q2 = row.get(q)
+                if q2 is None:
+                    q2 = row[q] = a.step(q, (lasts_of(h2),))
+                bucket.add(pushed[q2])
             if len(bucket) != before:
                 work.append(h2)
     # by_index is sorted, so each history's traces come out sorted

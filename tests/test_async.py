@@ -8,11 +8,9 @@ from hypothesis import given, strategies as st
 from disto import automata, zoo
 from disto.asyncrun import (AsyncConfiguration, Timing, TimingError,
                             TimingStep, async_run, decide_acceptance_timed,
-                            falsify_consistency, is_valid_trace,
-                            sample_timing, synchronous_timing,
-                            timed_accepted_nodes, timing_from_json_dict,
-                            timing_to_json_dict, trace_first, trace_last,
-                            trace_pop, trace_push)
+                            falsify_consistency, sample_timing,
+                            synchronous_timing, timed_accepted_nodes,
+                            timing_from_json_dict, timing_to_json_dict)
 from disto.automata import (DEFAULT_HORIZON_CAP, DistributedAutomaton,
                             HorizonExceeded, InitializationError,
                             UnmatchedTransition)
@@ -20,6 +18,31 @@ from disto.graphs import Digraph, dipath, edge_fault, make, subsets
 from disto.mucompile import compile_mu_to_aqda
 
 import gens
+
+# Traces as tuples of states, for the reference loop below; timed runs
+# keep each buffer as a head index into its source's history instead.
+
+
+def trace_push(t, q):
+    """Append q unless it equals the last entry (pushlast)."""
+    return t if t and t[-1] == q else t + (q,)
+
+
+def trace_pop(t):
+    """Drop the first entry unless the trace is a singleton (popfirst)."""
+    return t if len(t) <= 1 else t[1:]
+
+
+def trace_first(t):
+    return t[0]
+
+
+def trace_last(t):
+    return t[-1]
+
+
+def is_valid_trace(t):
+    return len(t) >= 1 and all(a != b for a, b in zip(t, t[1:]))
 
 
 def test_push_same_is_noop():
@@ -324,6 +347,9 @@ def _outcome(run, *args, **kwargs):
         return type(e), str(e)
     if isinstance(out, tuple):
         return out
+    # the replayed ids are the replayed configurations' node states
+    assert (tuple(tuple(out.names[i] for i in c) for c in out.ids)
+            == tuple(c.node_state for c in out.configs))
     return out.edge_order, out.configs, out.prefix, out.period
 
 
@@ -416,6 +442,42 @@ def test_compiled_automata_match_reference_loop():
             d = random_small_digraph(rng, 1)
             _check_against_reference(a, d, _random_timing(
                 rng, d, rng.random() < 0.5), rng)
+
+
+@pytest.mark.parametrize("prefix_len", [0, 3, 9])
+def test_a_constant_lasso_hash_gives_the_same_timed_lasso(monkeypatch,
+                                                          prefix_len):
+    # every configuration of the tail hashes alike, so each tail step that
+    # changes a node or pops a buffer meets the tail's first hash, and
+    # only the replayed node states and buffer contents tell them apart
+    from disto import asyncrun
+    confirm, hits = asyncrun._lasso_start, []
+
+    def counting(first, clash, h, t, replay, same):
+        hits.append(t)
+        return confirm(first, clash, h, t, replay, same)
+
+    monkeypatch.setattr(asyncrun, "_weights", lambda count: [0] * count)
+    monkeypatch.setattr(asyncrun, "_lasso_start", counting)
+    rng = random.Random(prefix_len)
+    cases = [(gens.oscillator(), dipath(5).digraph),
+             (zoo.reachability_automaton(),
+              make(1, 1, ["1", "0", "0", "0"],
+                   [(1, 0, 1), (1, 1, 2), (1, 2, 3), (1, 3, 1)]))]
+    cases += [(random_timed_automaton(rng, 1, partial=False),
+               random_small_digraph(rng, 1)) for _ in range(15)]
+    for a, d in cases:
+        timing = sample_timing(d, prefix_len, False, rng.randrange(100))
+        hits.clear()
+        want = _check_against_reference(a, d, timing, rng)
+        assert want[2] >= prefix_len and all(t > prefix_len for t in hits)
+        # the oscillator's tail changes a node at every step: its lasso
+        # closes on a hit, each step before it a collision
+        if a.states == ("a", "b"):
+            hits.clear()
+            async_run(a, d, timing)
+            assert want[3] == 2
+            assert hits == list(range(prefix_len + 1, want[2] + 3))
 
 
 def test_timed_and_synchronous_runs_share_one_memo():

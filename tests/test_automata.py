@@ -15,6 +15,7 @@ from disto.automata import (AutomatonClass, ClassificationInfeasible,
                             all_pairs, classify, decide_acceptance_sync,
                             forgetful_run, monovisioned_transform,
                             state_diagram, sync_run)
+from disto.formulas import MuEvaluator
 from disto.graphs import Digraph, dipath, make
 from disto.mucompile import (compile_mu_to_aqda, decompile_qda_to_mu,
                              successor_map)
@@ -755,6 +756,11 @@ def _as_tuple(run):
     return run.configs, run.prefix, run.period
 
 
+def _decoded(run):
+    """The run's ids, each replaced by its name."""
+    return tuple(tuple(run.names[i] for i in c) for c in run.ids)
+
+
 def _run_outcome(run, *args, **kwargs):
     """A run's configs, prefix and period, or ``HorizonExceeded``."""
     try:
@@ -774,6 +780,19 @@ def _forgetful_case(fa, d):
             lambda conf, v, nvec: fa.delta(d.label(v), nvec))
 
 
+def _mu_case(system, d):
+    """A ``MuEvaluator`` run: from the label propositions, on the round
+    loop itself."""
+    ev = MuEvaluator(system)
+    initial = [frozenset(f"P{i}" for i, b in enumerate(x, 1) if b == "1")
+               for x in d.labels]
+
+    def run(a, d, horizon=automata.DEFAULT_HORIZON_CAP):
+        return automata._run_rounds(a, d, initial, None, horizon)
+
+    return ev, run, d, initial, lambda conf, v, nvec: ev.step(conf[v], nvec)
+
+
 @pytest.mark.parametrize("rels,bits", [(1, 0), (1, 1), (2, 0), (2, 1)])
 def test_interned_runs_match_reference_loop(rels, bits):
     rng = random.Random(1000 * rels + bits)
@@ -787,7 +806,8 @@ def test_interned_runs_match_reference_loop(rels, bits):
             for a, run, _, initial, next_state in (_sync_case(sa, d),
                                                    _forgetful_case(fa, d)):
                 want = reference_run(d, initial, next_state)
-                assert _as_tuple(run(a, d)) == want
+                got = run(a, d)
+                assert _as_tuple(got) == want and _decoded(got) == want[0]
                 horizon = rng.randint(1, 8)
                 assert (_run_outcome(run, a, d, horizon=horizon)
                         == _run_outcome(reference_run, d, initial,
@@ -823,6 +843,9 @@ _LOOP_CASES = {
         random_forgetful_automaton(random.Random(3), 1, 1),
         gens.random_digraph(random.Random(4), 7, bits=1, edge_p=0.3)),
     "pair-joined-in-two-relations": _two_relation_case,
+    "fixpoint-evaluator": lambda: _mu_case(
+        gens.random_mu_system(random.Random(9), max_vars=3, bits=1),
+        gens.random_digraph(random.Random(10), 7, bits=1, edge_p=0.3)),
 }
 
 
@@ -873,6 +896,107 @@ def test_oscillator_and_settled_runs_have_the_expected_lassos():
     bounded = sync_run(zoo.reachability_automaton(), d, horizon=8)
     assert (bounded.prefix, bounded.period) == (5, 1)
     assert bounded.configs == run.configs
+
+
+def test_fixpoint_runs_match_reference_loop():
+    rng = random.Random(31)
+    for _ in range(8):
+        system = gens.random_mu_system(rng, max_vars=3, bits=1)
+        for _ in range(6):
+            d = gens.random_digraph(rng, 6, bits=1,
+                                    edge_p=rng.choice((0.15, 0.4)))
+            ev, run, _, initial, next_state = _mu_case(system, d)
+            want = reference_run(d, initial, next_state)
+            got = run(ev, d)
+            assert _as_tuple(got) == want and _decoded(got) == want[0]
+            horizon = rng.randint(0, 6)
+            assert (_run_outcome(run, ev, d, horizon=horizon)
+                    == _run_outcome(reference_run, d, initial, next_state,
+                                    horizon))
+            closes = want[1] + want[2]
+            with pytest.raises(HorizonExceeded):
+                run(ev, d, horizon=closes - 1)
+            # the evaluator reads the last configuration off the log
+            vals, steps = ev.eval_full(d)
+            assert steps == want[1]
+            assert vals == {x: frozenset(v for v in d.nodes()
+                                         if x in want[0][-1][v])
+                            for x in system.variables}
+
+
+@pytest.mark.parametrize("case", ["period-2-oscillator", "forgetful-random",
+                                  "pair-joined-in-two-relations"])
+def test_a_constant_lasso_hash_gives_the_same_lasso(monkeypatch, case):
+    # every configuration hashes alike, so each round that changes a node
+    # meets round 0's hash, and only the replayed check tells them apart
+    a, run, d, initial, next_state = _LOOP_CASES[case]()
+    want = reference_run(d, initial, next_state)
+    confirm, hits = automata._lasso_start, []
+
+    def counting(first, clash, h, t, replay, same):
+        hits.append(t)
+        return confirm(first, clash, h, t, replay, same)
+
+    monkeypatch.setattr(automata, "_weights", lambda count: [0] * count)
+    monkeypatch.setattr(automata, "_lasso_start", counting)
+    got = run(a, d)
+    assert _as_tuple(got) == want and _decoded(got) == want[0]
+    closes = want[1] + want[2]
+    assert hits in (list(range(1, closes)), list(range(1, closes + 1)))
+    if case == "period-2-oscillator":
+        assert len(hits) == closes
+    with pytest.raises(HorizonExceeded):
+        run(a, d, horizon=closes - 1)
+
+
+def test_the_log_holds_one_entry_per_state_change():
+    # each node of the dipath moves once, into the accepting sink "5",
+    # one node per round
+    n = 20000
+    d = dipath(n, labels=["1"] + ["0"] * (n - 1)).digraph
+    run = sync_run(zoo.reachability_automaton(), d)
+    assert (run.prefix, run.period) == (n, 1)
+    conf, entries = list(run.initial), 0
+    for nodes, ids in run.log:
+        assert list(nodes) == sorted(set(nodes)) and len(ids) == len(nodes)
+        for v, q in zip(nodes, ids):
+            assert conf[v] != q
+            conf[v] = q
+        entries += len(nodes)
+    assert entries == n == len(run.log)
+    assert conf == [run.names.index("5")] * n
+    assert automata._accepting_columns(run, {"5"}) == frozenset(d.nodes())
+    assert run.state_at(n // 2, n // 2 - 1) == "5"
+    assert run.state_at(n // 2, n // 2) == "2"
+
+
+def _reaches(succ, q):
+    """The states reachable from ``q`` in one or more steps."""
+    seen, todo = set(), [q]
+    while todo:
+        for t in succ[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def test_nontrivial_cycles_match_a_reachability_reference():
+    rng = random.Random(15)
+    for _ in range(300):
+        names = [f"s{i}" for i in range(rng.randint(1, 6))]
+        succ = {q: {t for t in names if rng.random() < 0.3} for q in names}
+        want = any(q in _reaches(succ, t) for q in names for t in succ[q]
+                   if t != q)
+        assert automata._has_nontrivial_cycle(succ) == want
+
+
+def test_a_1500_state_chain_needs_no_recursion_for_its_cycle_check():
+    chain = [f"q{i}" for i in range(1500)]
+    succ = {q: {q, t} for q, t in zip(chain, chain[1:] + chain[-1:])}
+    assert not automata._has_nontrivial_cycle(succ)
+    succ[chain[-1]].add(chain[0])
+    assert automata._has_nontrivial_cycle(succ)
 
 
 def test_unmatched_transition_names_the_lowest_failing_node():

@@ -116,6 +116,26 @@ def test_run_ends_in_its_lasso_or_past_the_horizon(capsys, tmp_path,
             "ValueError: horizon must be >= 0")
 
 
+def test_run_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # a 40-node dipath under the oscillator: its lasso closes on a hit of
+    # the lasso hash, whose weights must be the same in every process
+    files = {"osc": {"states": ["a", "b"], "relations": 1,
+                     "init": {"": "a"}, "accepting": ["b"],
+                     "rules": _oscillator_rules()},
+             "path": graphs.to_json_dict(graphs.dipath(40).digraph)}
+    argv = _write_files(str(tmp_path), files, ["run", "@osc", "@path"])
+    outs = [subprocess.run(
+        [sys.executable, "-m", "disto.cli", *argv], capture_output=True,
+        check=True, env=dict(os.environ, PYTHONHASHSEED=seed,
+                             PYTHONPATH=os.path.dirname(
+                                 os.path.dirname(disto.__file__)))).stdout
+        for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert (report["details"]["prefix"], report["details"]["period"]) == (
+        39, 2)
+
+
 def test_exit_codes(capsys, fig_automaton_file, tmp_path):
     lonely = tmp_path / "lone.json"
     pd = graphs.make(1, 1, ["0"], [], point=0)
@@ -1001,6 +1021,24 @@ def test_every_cap_is_a_limit(capsys, tmp_path, monkeypatch, argv, cls):
                                               argv))
     assert code == 1 and out["verdict"] == "limit-exceeded"
     assert out["details"]["message"].startswith(f"{cls}: ")
+
+
+def test_a_1500_state_chain_is_refused_by_its_live_traces(capsys, tmp_path):
+    # the quasi-acyclicity check walks the whole chain before the trace
+    # cap refuses it
+    chain = [f"q{i}" for i in range(1500)]
+    files = {"chain": {"states": chain, "relations": 1, "init": {"": "q0"},
+                       "accepting": [],
+                       "rules": [{"from": q, "guards": [], "to": t}
+                                 for q, t in zip(chain,
+                                                 chain[1:] + chain[-1:])]}}
+    code = main(_write_files(str(tmp_path), files, ["decompile-qda",
+                                                     "@chain"]))
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert captured.err == ""
+    assert code == 1 and out["verdict"] == "limit-exceeded"
+    assert out["details"]["message"].startswith("LimitExceeded: more than ")
 
 
 def test_empty_nldag_searches_a_cap_above_the_enumeration_bound(capsys,

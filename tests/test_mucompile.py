@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 from disto import automata, zoo
 from disto import formulas as fm
-from disto.automata import DistributedAutomaton, classify, sync_run
+from disto.automata import (DistributedAutomaton, classify, state_diagram,
+                            sync_run)
 from disto.formulas import MuEvaluator, MuSystem, eval_mu
 from disto.graphs import LimitExceeded, enumerate_digraphs, subsets
 from disto.mucompile import (ClassError, _and, _infer_bits, _init_body, _or,
@@ -219,6 +221,61 @@ def test_decompile_matches_the_reference(mu_corpus):
         got, want = decompile_qda_to_mu(a), reference_decompile(a)
         assert got == want
         assert fm.print_mu(got) == fm.print_mu(want)
+
+
+def reference_enables(a):
+    """The enables relation as (history, trace) pairs, straight from its
+    definition: the base pairs, then the step rule until nothing is added.
+    A history is a frozenset of traces; H ~> H' replaces each trace of H
+    by itself, its one-state extensions, or both (at least one)."""
+    starts = sorted(set(a.init.values()))
+    traces = compute_traces(a, starts)
+    pairs = set()
+    for nstates in subsets(starts):
+        for q in starts:
+            target = a.delta(q, (nstates,))
+            pairs.add((frozenset((s,) for s in nstates),
+                       (q,) if target == q else (q, target)))
+
+    def evolutions(history):
+        options = [[c for c in subsets([t, *(u for u in traces
+                                            if u[:-1] == t)]) if c]
+                   for t in history]
+        for choice in itertools.product(*options):
+            yield frozenset().union(*choice)
+
+    todo = list(pairs)
+    while todo:
+        history, trace = todo.pop()
+        for h2 in evolutions(history):
+            q2 = a.delta(trace[-1], (frozenset(t[-1] for t in h2),))
+            pair = (h2, trace if q2 == trace[-1] else trace + (q2,))
+            if pair not in pairs:
+                pairs.add(pair)
+                todo.append(pair)
+    return pairs
+
+
+def test_enables_steps_each_state_and_received_set_once(mu_corpus,
+                                                        monkeypatch):
+    from disto import mucompile
+    a = compile_mu_to_aqda(mu_corpus[6])
+    diagram = state_diagram(a)  # the one enumeration outside the fixpoint
+    monkeypatch.setattr(mucompile, "state_diagram", lambda b: diagram)
+    want = reference_enables(a)
+    plain, calls = a.delta, []
+
+    def counting(q, nvec):
+        calls.append((q, nvec))
+        return plain(q, nvec)
+
+    a.delta = counting
+    enables = compute_enables(a)
+    assert len(calls) == len(set(calls)) > 0
+    assert {(frozenset(h), t) for t, hs in enables.enablers.items()
+            for h in hs} == want
+    a.delta = plain
+    assert compute_enables(a) == enables
 
 
 def test_enablers_are_ordered_by_size_then_members(mu_corpus):
