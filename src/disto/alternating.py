@@ -269,6 +269,14 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
     Before its first game the automaton must pass ``validate_alt``, so
     every play reaches a permanent configuration within ``length(a)``
     rounds.
+
+    The search runs on an explicit stack, not by recursion, so a long
+    play needs no Python stack.  Each configuration with successors, one
+    or many, is a frame ``(configuration, its successors not yet tried,
+    existential?)``, trying successors in ``itertools.product`` order.  A
+    child's value decides its frame when it is true at an existential
+    frame or false at a universal one; otherwise the next successor is
+    tried, and an exhausted frame takes its last child's value.
     """
     if a.rels != d.rels:
         raise AltError(f"automaton has {a.rels} relations, digraph {d.rels}")
@@ -281,62 +289,56 @@ def decide_acceptance_alt(a: AltAutomaton, d: Digraph) -> bool:
     ix, kind_bits = a._interned
     ids, names, bits, options = ix.ids, ix.names, ix.bits, ix.memo
     slots = d._in_slots
-    acc_memo, memo = {}, {}
-
-    def value(conf: tuple) -> bool:
-        got = memo.get(conf)
-        if got is not None:
-            return got
-        chain = []
-        while True:
-            chain.append(conf)
+    acc_memo, memo, stack = {}, {}, []
+    conf = tuple(ids[a.init[lab]] for lab in d.labels)
+    while True:
+        out = memo.get(conf)
+        if out is None:
             mask = 0
             for q in conf:
                 mask |= kind_bits[q]
-            if not mask:
-                occ = frozenset(conf)
-                out = acc_memo.get(occ)
-                if out is None:
-                    out = a.accepting.contains(
-                        frozenset(names[i] for i in occ))
-                    acc_memo[occ] = out
-                break
-            if mask == 3:  # only past a supplied succ_map that misses targets
-                raise MixedConfiguration(
-                    "configuration mixes existential and universal states")
-            received = [b for q in conf for b in bits[q]]
-            opts, count = [], 1
-            for node_slots in slots:
-                key = 0
-                for j in node_slots:
-                    key |= received[j]
-                o = options.get(key)
-                if o is None:
-                    raw = a.step(*ix.decode(key))
-                    o = options[key] = tuple(sorted(ids[t] for t in raw))
-                opts.append(o)
-            for o in opts:
-                count *= len(o)
-                if count > GAME_SUCCESSOR_CAP:
-                    raise LimitExceeded(
-                        "configuration has too many successors "
-                        f"(cap {GAME_SUCCESSOR_CAP})")
-            if count == 1:
-                # deterministic round: pass through without branching
-                conf = tuple(o[0] for o in opts)
-                got = memo.get(conf)
-                if got is not None:
-                    out = got
-                    break
+            if mask:
+                if mask == 3:  # only past a supplied succ_map missing targets
+                    raise MixedConfiguration(
+                        "configuration mixes existential and universal states")
+                received = [b for q in conf for b in bits[q]]
+                opts, count = [], 1
+                for node_slots in slots:
+                    key = 0
+                    for j in node_slots:
+                        key |= received[j]
+                    o = options.get(key)
+                    if o is None:
+                        raw = a.step(*ix.decode(key))
+                        o = options[key] = tuple(sorted(ids[t] for t in raw))
+                    opts.append(o)
+                for o in opts:
+                    count *= len(o)
+                    if count > GAME_SUCCESSOR_CAP:
+                        raise LimitExceeded(
+                            "configuration has too many successors "
+                            f"(cap {GAME_SUCCESSOR_CAP})")
+                successors = itertools.product(*opts)
+                stack.append((conf, successors, mask == 1))
+                conf = next(successors)
                 continue
-            combine = any if mask == 1 else all
-            out = combine(value(c) for c in itertools.product(*opts))
-            break
-        for c in chain:
-            memo[c] = out
-        return out
-
-    return value(tuple(ids[a.init[lab]] for lab in d.labels))
+            occ = frozenset(conf)
+            out = acc_memo.get(occ)
+            if out is None:
+                out = acc_memo[occ] = bool(a.accepting.contains(
+                    frozenset(names[i] for i in occ)))
+            memo[conf] = out
+        # hand the value up to every frame it decides or exhausts
+        while stack:
+            top, successors, existential = stack[-1]
+            if out is not existential:
+                conf = next(successors, None)
+                if conf is not None:
+                    break
+            memo[top] = out
+            stack.pop()
+        else:
+            return out
 
 
 # ---------------------------------------------------------------------------

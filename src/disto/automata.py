@@ -644,11 +644,43 @@ def classify(a: DistributedAutomaton) -> AutomatonClass:
 
 
 def _check_monovisioned(a: DistributedAutomaton) -> bool:
+    """Whether some rejecting state is a sink that every neighbourhood with
+    two or more received states, or with the sink, enters (one relation
+    only).  A rule automaton is read off its rule regions; a callable
+    ``delta``, or a region split past ``REGION_BOX_LIMIT``, steps every
+    pair."""
     if a.rels != 1:
         return False
+    sinks = set(a.states) - set(a.accepting)
+    if isinstance(a.delta, RuleDelta):
+        try:
+            return any(_regions_enter(a, sink) for sink in sinks)
+        except _Fragmented:
+            pass
     return any(all(a.step(q, nvec) == sink for q, nvec in all_pairs(a)
                    if len(nvec[0]) > 1 or sink in nvec[0] or q == sink)
-               for sink in set(a.states) - set(a.accepting))
+               for sink in sinks)
+
+
+def _regions_enter(a: DistributedAutomaton, sink: str) -> bool:
+    """``_check_monovisioned`` for one ``sink`` of a 1-relation rule
+    automaton: every rule region of the sink targets it, and so does every
+    other state's rule region that holds a neighbourhood other than the
+    empty one and the singletons of the other states."""
+    names = tuple(dict.fromkeys(a.states))
+    bit = {q: 1 << i for i, q in enumerate(names)}
+    small = [(0, 0)] + [(b, b) for q, b in bit.items() if q != sink]
+    for q in names:
+        boxes = []
+        for rule in a.delta._by_src.get(q, ()):
+            box = _box(rule, bit, len(names), 1)
+            if box is None:
+                continue
+            if rule.dst != sink and _uncovered(
+                    box, boxes if q == sink else boxes + small) is not None:
+                return False
+            boxes.append(box)
+    return True
 
 
 def monovisioned_transform(a: DistributedAutomaton,

@@ -161,16 +161,12 @@ def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
         ext_unions.append([sum(u) for u in itertools.islice(
             subsets(1 << i for i in sorted(pushed.values())), 1, None)])
 
-    def successors_of(history: int):
-        seen = set()
-        for choice in itertools.product(*[ext_unions[i]
-                                          for i in _bits_of(history)]):
-            h2 = 0
-            for m in choice:
-                h2 |= m
-            if h2 not in seen:
-                seen.add(h2)
-                yield h2
+    def successors_of(history: int) -> set[int]:
+        # the unions of one extension union per trace, folded trace by trace
+        out = {0}
+        for i in _bits_of(history):
+            out = {h | u for h in out for u in ext_unions[i]}
+        return out
 
     lasts_memo: dict[int, frozenset] = {}
 
@@ -201,14 +197,13 @@ def compute_enables(a: DistributedAutomaton) -> EnablesRelation:
             bucket.add(index[t])
 
     work = list(enabled)
-    succ_cache: dict[int, tuple] = {}
+    succ_cache: dict[int, set[int]] = {}
     while work:
         history = work.pop()
         current = list(enabled[history])
         nexts = succ_cache.get(history)
         if nexts is None:
-            nexts = tuple(successors_of(history))
-            succ_cache[history] = nexts
+            nexts = succ_cache[history] = successors_of(history)
         for h2 in nexts:
             bucket = enabled.setdefault(h2, set())
             before = len(bucket)

@@ -294,6 +294,24 @@ def cyclic_aldag_json(a_to: list) -> dict:
     }
 
 
+def deep_aldag_json(levels: int, kind: str) -> dict:
+    """``levels`` levels of two ``kind`` states over the empty label, each
+    moving to both states of the next level, then the one permanent state
+    p, which accepts.  On a digraph with two or more nodes every round
+    branches."""
+    rows = [[f"s{i}_{j}" for j in (0, 1)] for i in range(levels)] + [["p"]]
+    return {
+        "states": [{"name": q, "kind": kind} for row in rows[:-1]
+                   for q in row] + [{"name": "p", "kind": "P"}],
+        "relations": 1,
+        "init": {"": rows[0][0]},
+        "rules": [{"from": q, "guards": [], "to": nxt}
+                  for row, nxt in zip(rows, rows[1:]) for q in row]
+        + [{"from": "p", "guards": [], "to": ["p"]}],
+        "accepting_sets": [["p"]],
+    }
+
+
 def forgetful_chain_json(steps: int) -> dict:
     """One letter; a node moves to s{i+1} when it receives exactly s{i},
     else to z.  Only s{steps} accepts, so every witness holds a chain of

@@ -10,7 +10,8 @@ import pytest
 from disto import alternating as alt
 from disto import formulas as fm
 from disto import graphs, zoo
-from disto.alternating import (AltAutomaton, AltError, ExplicitSets,
+from disto.alternating import (GAME_SUCCESSOR_CAP, _KIND_BIT, AltAutomaton,
+                               AltError, ExplicitSets, MixedConfiguration,
                                apply_closure, compile_mso_to_aldag,
                                complement, decide_acceptance_alt, explicit,
                                global_successors, initial_configuration,
@@ -18,8 +19,8 @@ from disto.alternating import (AltAutomaton, AltError, ExplicitSets,
                                is_nondeterministic, length, nldag_emptiness,
                                normalize_profile, project, union,
                                validate_alt)
-from disto.automata import Guard, Rule, RuleDelta
-from disto.graphs import Digraph, enumerate_digraphs, make
+from disto.automata import Guard, Rule, RuleDelta, _infer_bits, _Interned
+from disto.graphs import Digraph, LimitExceeded, enumerate_digraphs, make
 
 import gens
 
@@ -334,6 +335,115 @@ def test_game_refuses_relation_zero():
         with pytest.raises(ValueError, match="unknown relation index"):
             decide(a, bad)
     agrees(a, sweep(3))
+
+
+def reference_decide_acceptance_alt(a: AltAutomaton, d) -> bool:
+    """The recursive game that ``decide_acceptance_alt`` replaced, kept
+    verbatim as the reference for its order: one ``value`` call, through
+    an ``any``/``all`` generator frame, per branching round, and a
+    pass-through loop for rounds with one successor."""
+    if a.rels != d.rels:
+        raise AltError(f"automaton has {a.rels} relations, digraph {d.rels}")
+    if "_interned" not in a.__dict__:
+        validate_alt(a)
+        ix = _Interned(a.rels)
+        for q in a.states:
+            ix.intern(q)
+        a._interned = ix, [_KIND_BIT[a.kind[q]] for q in ix.names]
+    ix, kind_bits = a._interned
+    ids, names, bits, options = ix.ids, ix.names, ix.bits, ix.memo
+    slots = d._in_slots
+    acc_memo, memo = {}, {}
+
+    def value(conf: tuple) -> bool:
+        got = memo.get(conf)
+        if got is not None:
+            return got
+        chain = []
+        while True:
+            chain.append(conf)
+            mask = 0
+            for q in conf:
+                mask |= kind_bits[q]
+            if not mask:
+                occ = frozenset(conf)
+                out = acc_memo.get(occ)
+                if out is None:
+                    out = a.accepting.contains(
+                        frozenset(names[i] for i in occ))
+                    acc_memo[occ] = out
+                break
+            if mask == 3:  # only past a supplied succ_map that misses targets
+                raise MixedConfiguration(
+                    "configuration mixes existential and universal states")
+            received = [b for q in conf for b in bits[q]]
+            opts, count = [], 1
+            for node_slots in slots:
+                key = 0
+                for j in node_slots:
+                    key |= received[j]
+                o = options.get(key)
+                if o is None:
+                    raw = a.step(*ix.decode(key))
+                    o = options[key] = tuple(sorted(ids[t] for t in raw))
+                opts.append(o)
+            for o in opts:
+                count *= len(o)
+                if count > GAME_SUCCESSOR_CAP:
+                    raise LimitExceeded(
+                        "configuration has too many successors "
+                        f"(cap {GAME_SUCCESSOR_CAP})")
+            if count == 1:
+                # deterministic round: pass through without branching
+                conf = tuple(o[0] for o in opts)
+                got = memo.get(conf)
+                if got is not None:
+                    out = got
+                    break
+                continue
+            combine = any if mask == 1 else all
+            out = combine(value(c) for c in itertools.product(*opts))
+            break
+        for c in chain:
+            memo[c] = out
+        return out
+
+    return value(tuple(ids[a.init[lab]] for lab in d.labels))
+
+
+def _game_cross_check_corpus():
+    """(automaton, digraphs): the zoo, ``random_nldag`` draws, complements
+    of draws that hold universal levels, and criterion 6's compiled
+    sentences, on the iso-reduced digraphs with up to 3 nodes; the
+    1,074-state compiled ``phi_three_color`` on those with up to 2 nodes
+    (its games on all 116 take about a minute per side)."""
+    by_bits = {bits: list(enumerate_digraphs(3, bits=bits, rels=1,
+                                             iso_reduce=True))
+               for bits in (0, 2)}
+    rng = random.Random("game-cross-check")
+    autos = [zoo.three_col_aldag(), zoo.non_three_col_aldag(),
+             zoo.concentric_circles_aldag()]
+    autos += [gens.random_nldag(rng) for _ in range(15)]
+    autos += [complement(gens.random_nldag(rng, max_states=5, max_length=3))
+              for _ in range(15)]
+    sentences = random.Random(606)
+    autos += [compile_mso_to_aldag(gens.random_mso_sentence(sentences),
+                                   bits=0, rels=1) for _ in range(3)]
+    autos.append(compile_mso_to_aldag(zoo.edgeless_sentence(), 0, 1))
+    three_colour = compile_mso_to_aldag(zoo.phi_three_color(), 0, 1)
+    return [(a, by_bits[_infer_bits(a)]) for a in autos] + [
+        (three_colour, [d for d in by_bits[0] if d.n < 3])]
+
+
+def test_the_stack_game_matches_the_recursive_reference():
+    # the same verdicts, and the same options memo filled in the same order
+    for a, digraphs in _game_cross_check_corpus():
+        ref, new = dataclasses.replace(a), dataclasses.replace(a)
+        for d in digraphs:
+            assert (decide_acceptance_alt(new, d)
+                    == reference_decide_acceptance_alt(ref, d)), d
+        assert (list(new._interned[0].memo.items())
+                == list(ref._interned[0].memo.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -660,6 +660,53 @@ def test_a_40_state_2_relation_rule_automaton_is_classified():
                                          is_monovisioned=False)
 
 
+def _sink_rule_file(n, widen=None):
+    """``n`` states and a rejecting sink ``s``: q_i stays on nothing or on
+    itself alone, moves to q_{i+1} on q_{i+1} alone, and enters the sink
+    on anything else; the sink stays.  Monovisioned by construction, unless
+    ``widen`` adds to q_0's first row a set the sink's check forbids."""
+    states = [f"q{i}" for i in range(n)]
+    rules = []
+    for q, nxt in zip(states, states[1:] + states[:1]):
+        rules += [
+            {"from": q, "guards": [{"rel": 1, "op": "subseteq", "set": [q]}],
+             "to": q},
+            {"from": q, "guards": [{"rel": 1, "op": "eq", "set": [nxt]}],
+             "to": nxt},
+            {"from": q, "to": "s"}]
+    rules.append({"from": "s", "to": "s"})
+    if widen is not None:
+        rules[0]["guards"][0]["set"] = ["q0", widen]
+    return {"states": states + ["s"], "relations": 1, "init": {"": "q0"},
+            "accepting": states[-1:], "rules": rules}
+
+
+@pytest.mark.parametrize("n", [4, 20])
+@pytest.mark.parametrize("widen,mono", [(None, True), ("q1", False),
+                                        ("s", False)])
+def test_monovisioned_rule_automata_are_read_off_their_regions(
+        monkeypatch, n, widen, mono):
+    # above the enumeration cap only the regions can answer; within it the
+    # reference loop agrees, and so does the enumeration that a region
+    # split past the box limit falls back to
+    a = automata.from_json_dict(_sink_rule_file(n, widen))
+    assert classify(a).is_monovisioned is mono
+    if len(a.states) <= automata.ENUM_LIMIT:
+        assert reference_check_monovisioned(a) is mono
+        monkeypatch.setattr(automata, "REGION_BOX_LIMIT", 0)
+        assert classify(a).is_monovisioned is mono
+
+
+def test_a_20_state_guard_free_chain_is_classified():
+    chain = [f"q{i}" for i in range(20)]
+    a = automata.from_json_dict({
+        "states": chain, "relations": 1, "init": {"": "q0"}, "accepting": [],
+        "rules": [{"from": q, "to": t}
+                  for q, t in zip(chain, chain[1:] + chain[-1:])]})
+    assert classify(a) == AutomatonClass(is_local=True, is_quasi_acyclic=True,
+                                         is_monovisioned=False)
+
+
 @pytest.mark.parametrize("n", [16, 17])
 def test_a_catch_all_to_an_undeclared_state_is_a_fault_at_any_size(n):
     # within the cap the enumeration names the pair, above it the region

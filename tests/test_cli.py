@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import copy
 import functools
 import inspect
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -921,6 +923,176 @@ def test_malformed_files_get_one_input_error(capsys, tmp_path, argv, files,
     assert message in out["details"]["message"]
 
 
+# ---------------------------------------------------------------------------
+# A seeded structural fuzzer: well-formed files of extreme shapes through
+# every verb.  Each family pushes one dimension past the small files above;
+# label widths stay where the verbs that enumerate every label (empty-nldag,
+# search-witness, compile-mso) finish in milliseconds.
+
+_SHAPES = {
+    "deep-chain": {"levels": (1000, 1500), "guards": False},
+    "wide-levels": {"levels": 2, "width": (16, 32)},
+    "two-relations": {"rels": 2},
+    "empty-guard-sets": {"levels": (2, 1500), "empty_guards": True},
+    "empty-accepting": {"empty_accepting": True},
+    "long-labels": {"bits": (8, 12)},
+}
+
+_FUZZ_ARGV = [
+    ["run", "@a", "@g"], ["accept", "@a", "@g"],
+    ["accept-timed", "@a", "@g", "@t"],
+    ["falsify-async", "@a", "@g", "--samples", "2", "--seed", "0"],
+    ["compile-mu", "@mu", "--bits", "@bits", "--accept", "@g"],
+    ["decompile-qda", "@a"],
+    ["compile-mso", "@mso", "--bits", "@bits", "--relations", "@rels",
+     "--accept", "@g"],
+    ["alt-accept", "@alt", "@g"],
+    ["alt-closure", "complement", "@alt", "--accept", "@g"],
+    ["alt-closure", "union", "@alt", "--second", "@alt", "--accept", "@g"],
+    ["alt-closure", "intersect", "@alt", "--second", "@alt"],
+    ["alt-closure", "project", "@alt", "--mapping", "@map", "--accept", "@g"],
+    ["empty-forgetful", "@fda"], ["empty-nldag", "@alt", "--max-nodes", "2"],
+    ["search-witness", "@a", "--max-nodes", "2"], ["dfa2fda", "@dfa"],
+    ["fda2dfa", "@fda"], ["ta2fda", "@ta"],
+    ["tm2da", "@tm", "--accept", "@p1"],
+    ["ts-recognize", "@ts", "@grid"], ["grid-check", "@grid"],
+    ["gen", "dipath", "--n", "@levels", "--bits", "@bits"],
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _shaped_files(shape: str) -> dict:
+    """One seeded file of every kind the verbs read, in the family
+    ``shape``: ``levels`` levels of ``width`` states, each level moving
+    only to the next, so every automaton is leveled and quasi-acyclic;
+    ``rels`` relations, ``bits``-bit labels, a guarded row per state
+    (unless ``guards`` is off) whose set is empty or names up to two
+    states, and accepting sets that may be empty.  ``bits``, ``rels`` and
+    ``levels`` map to the numbers themselves, for the command lines."""
+    from disto.asyncrun import sample_timing, timing_to_json_dict
+    from disto.tiling import BORDER, cell
+    rng = random.Random(shape)
+    p = {"levels": 3, "width": 2, "rels": 1, "bits": 1, "guards": True,
+         "empty_guards": False, "empty_accepting": False}
+    for key, value in _SHAPES[shape].items():
+        p[key] = rng.randint(*value) if isinstance(value, tuple) else value
+    rels, bits = p["rels"], p["bits"]
+    rows = [[f"s{i}_{j}" for j in range(p["width"])]
+            for i in range(p["levels"])]
+    states = [q for row in rows for q in row]
+    final = [] if p["empty_accepting"] else rows[-1]
+    labels = sorted({"".join(rng.choice("01") for _ in range(bits))
+                     for _ in range(3)})
+
+    def guarded(to):
+        """A guarded row to ``to``, or none when guards are off."""
+        if not p["guards"]:
+            return []
+        held = [] if p["empty_guards"] else rng.sample(
+            states, min(len(states), rng.randint(1, 2)))
+        return [{"guards": [{"rel": rng.randint(1, rels), "set": held,
+                             "op": rng.choice(["subseteq", "supseteq",
+                                               "eq"])}], "to": to}]
+
+    def later(i):
+        return rng.choice(rows[min(i + 1, len(rows) - 1)])
+
+    def rules(last, some, every):
+        # the catch-all reaches the whole next level of an alternating
+        # automaton, so that its levels are consistent
+        out = []
+        for i, row in enumerate(rows):
+            nxt = rows[i + 1] if i + 1 < len(rows) else last
+            for q in row:
+                out += [dict(r, **{"from": q}) for r in
+                        guarded(some(nxt, q)) + [{"guards": [],
+                                                  "to": every(nxt, q)}]]
+        return out
+
+    def one(nxt, q):
+        return rng.choice(nxt or [q])
+
+    kinds = [rng.choice("EU") if rng.random() < 0.5 else "E" for _ in rows]
+    pd = graphs.make(bits, rels, [rng.choice(labels) for _ in range(2)],
+                     [(r, u, v) for r in range(1, rels + 1) for u in (0, 1)
+                      for v in (0, 1) if rng.random() < 0.4], point=0)
+    cells = [BORDER] + [cell(lab, q) for lab in labels for q in states[:4]]
+    chain = min(p["levels"], 20)
+    return {
+        "bits": str(bits), "rels": str(rels), "levels": str(p["levels"]),
+        "a": {"states": states, "relations": rels, "accepting": final,
+              "init": {lab: rng.choice(rows[0]) for lab in labels},
+              "rules": rules([], one, one)},
+        "alt": {"states": [{"name": q, "kind": kind}
+                           for kind, row in zip(kinds, rows) for q in row]
+                + [{"name": "yes", "kind": "P"}, {"name": "no", "kind": "P"}],
+                "relations": rels,
+                "init": {lab: rng.choice(rows[0]) for lab in labels},
+                "rules": rules(["yes", "no"],
+                               lambda nxt, q: rng.sample(nxt, 1 + (
+                                   len(nxt) > 1 and rng.random() < 0.5)),
+                               lambda nxt, q: nxt)
+                + [{"from": q, "guards": [], "to": [q]}
+                   for q in ("yes", "no")],
+                "accepting_sets": [] if p["empty_accepting"]
+                else [["yes"], ["yes", "no"]]},
+        "g": graphs.to_json_dict(pd),
+        "t": timing_to_json_dict(sample_timing(pd.digraph, 3, True,
+                                               seed=rng.randrange(100))),
+        "map": {lab: labels[0] for lab in labels},
+        "fda": {"states": states, "relations": rels, "initial": states[0],
+                "accepting": final,
+                "delta": {lab: [r for i in range(len(rows))
+                                for r in guarded(later(i))]
+                          + [{"guards": [], "to": states[0]}]
+                          for lab in labels}},
+        "dfa": {"states": states, "initial": states[0], "accepting": final,
+                "delta": [[q, lab, later(i)] for i, row in enumerate(rows)
+                          for q in row for lab in labels]},
+        "ta": {"states": states, "arity": rels, "accepting": final,
+               "delta": [[[], lab, rows[0][0]] for lab in labels]
+               + [[[q] * rels, lab, later(i)] for i, row in enumerate(rows)
+                  for q in row for lab in labels]},
+        "tm": {"states": states + ["h"], "tape": ["_"] + labels,
+               "blank": "_", "initial": states[0], "halt": "h",
+               "delta": [[q, s, nxt, rng.choice(labels), rng.choice("LR")]
+                         for q, nxt in zip(states, states[1:] + ["h"])
+                         for s in ["_"] + labels]},
+        "p1": graphs.to_json_dict(graphs.dipath(1)),
+        "ts": {"bits": bits, "states": states[:4],
+               "tiles": [[rng.choice(cells) for _ in range(4)]
+                         for _ in range(20)]},
+        "grid": graphs.to_json_dict(graphs.grid(
+            rng.randint(1, 3), rng.randint(1, 4), bits=bits)),
+        "mu": "(mu (" + " ".join(
+            f"(X{k} (or (in P1) (bdia {rels} X{k + 1})))"
+            for k in range(1, chain)) + f" (X{chain} (in P1))))",
+        "mso": "(exists x (in P1 x))",
+    }
+
+
+def test_every_verb_gives_one_report_on_extreme_shapes():
+    failures = []
+    for shape, argv in itertools.product(_SHAPES, _FUZZ_ARGV):
+        files = _shaped_files(shape)
+        argv = [files[a[1:]] if a[1:] in ("bits", "rels", "levels") else a
+                for a in argv]
+        with tempfile.TemporaryDirectory() as tmp:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                try:
+                    code = main(_write_files(tmp, files, argv))
+                except Exception as e:  # a traceback at the command line
+                    failures.append((shape, argv[0], repr(e)))
+                    continue
+        report = json.loads(out.getvalue())  # exactly one JSON document
+        if not (report["schema"] == "disto/1" and code in (0, 1, 2)
+                and err.getvalue() == ""):
+            failures.append((shape, argv[0], code, err.getvalue()))
+    assert failures == []
+
+
 def test_an_alternating_rule_automaton_over_the_enumeration_cap_is_decided(
         capsys, tmp_path):
     # 17 states on 1 relation: past the cap of all_pairs, but the rule
@@ -1041,6 +1213,27 @@ def test_a_1500_state_chain_is_refused_by_its_live_traces(capsys, tmp_path):
     assert out["details"]["message"].startswith("LimitExceeded: more than ")
 
 
+@pytest.mark.parametrize("kind,argv,verdict", [
+    ("E", ["alt-accept", "@deep", "@g2"], "accepted"),
+    ("E", ["alt-closure", "complement", "@deep", "--accept", "@g2"],
+     "rejected"),
+    ("E", ["empty-nldag", "@deep"], "nonempty"),
+    ("U", ["alt-accept", "@deep", "@g2"], "accepted"),
+    ("U", ["alt-closure", "complement", "@deep", "--accept", "@g2"],
+     "rejected"),
+], ids=["E-accept", "E-complement", "E-empty", "U-accept", "U-complement"])
+def test_a_1500_level_game_gets_one_report(capsys, tmp_path, kind, argv,
+                                           verdict):
+    # every round of the game on two nodes branches: 1,500 levels deep
+    files = {"deep": gens.deep_aldag_json(1500, kind),
+             "g2": graphs.to_json_dict(graphs.make(0, 1, ["", ""],
+                                                   [(1, 0, 1)]))}
+    code = main(_write_files(str(tmp_path), files, argv))
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert code == 0 and json.loads(captured.out)["verdict"] == verdict
+
+
 def test_empty_nldag_searches_a_cap_above_the_enumeration_bound(capsys,
                                                                tmp_path):
     # the pigeonhole bound is 3^2 = 9, so --max-nodes 8 is the search cap
@@ -1110,6 +1303,60 @@ def test_every_library_error_is_a_value_error_or_a_limit():
             graphs.OracleBoundError, graphs.LimitExceeded} <= limits
     assert all(issubclass(cls, ValueError) != (cls in limits)
                for cls in found)
+
+
+# Every function in src/disto that calls itself by name, with the bound
+# that keeps its depth small.  A new one fails the test below until it is
+# listed here with its bound; a search whose depth follows the input runs
+# on an explicit stack instead (the game, the cycle check, the trace and
+# tree-automaton walks).
+_RECURSION_BOUNDS = {
+    **dict.fromkeys([
+        "alternating._compile", "formulas.free_symbols", "formulas.features",
+        "formulas._holds", "formulas.standard_translation.st",
+        "formulas._check_mu_body", "formulas._mu_holds",
+        "formulas.flatten_mu.fl", "formulas._pair_holds",
+        "formulas._sexpr_to_formula", "formulas._set_constants"],
+        "formula walk: the reader refuses nesting past MAX_NESTING"),
+    **dict.fromkeys([
+        "graphs._canonical_codes", "graphs._ordered_shapes",
+        "graphs._compositions", "graphs._shape_to_tree.walk"],
+        "node count of an enumeration capped by ENUM_SAFETY_BOUND"),
+    "graphs.enumerate_ordered_ditrees_by_height.build":
+        "max_height; the tree count grows doubly exponentially in it",
+    "zoo.is_perfectly_balanced.height":
+        "height of its ditree: an oracle over enumerated ditrees",
+}
+
+
+def _self_recursive(tree, prefix=""):
+    """Dotted names of the functions under ``tree`` that call themselves:
+    a function by its bare name, a method as ``self.<name>``."""
+    for node in ast.iter_child_nodes(tree):
+        name = prefix + getattr(node, "name", "")
+        if isinstance(node, ast.FunctionDef):
+            if any(isinstance(call, ast.Call) and (
+                    isinstance(call.func, ast.Name)
+                    and call.func.id == node.name
+                    or isinstance(call.func, ast.Attribute)
+                    and call.func.attr == node.name
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "self")
+                   for call in ast.walk(node)):
+                yield name
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield from _self_recursive(node, name + ".")
+
+
+def test_every_self_recursive_function_has_a_stated_bound():
+    found = set()
+    for module in _disto_modules():
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        found |= {f"{module.__name__.split('.')[-1]}.{name}"
+                  for name in _self_recursive(tree)}
+    assert found == set(_RECURSION_BOUNDS)
+    assert "alternating.decide_acceptance_alt.value" not in found
 
 
 def _readme_caps() -> str:
